@@ -56,8 +56,9 @@ let seed_arg =
 
 let jobs_arg =
   Arg.(value & opt int 1 & info [ "jobs" ]
-       ~doc:"Worker domains for the exhaustive search (results are \
-             identical for every value; 1 = sequential).")
+       ~doc:"Worker domains for the $(b,--fast) exhaustive search \
+             (results are identical for every value; without \
+             $(b,--fast) the search is sequential).")
 
 let check_jobs jobs =
   if jobs < 1 then begin
@@ -104,9 +105,9 @@ let check_por ~por sys =
 
 let fast_arg =
   Arg.(value & flag & info [ "fast" ]
-       ~doc:"Relaxed work-stealing exhaustive search: drops the \
-             deterministic engine's per-level barrier for real \
-             multicore speedup.  The verdict — and for $(b,analyze), \
+       ~doc:"Work-stealing exhaustive search on $(b,--jobs) domains \
+             instead of the sequential one, for real multicore \
+             speedup.  The verdict — and for $(b,analyze), \
              the reported witness schedule — is identical to the plain \
              search (witnesses are re-canonicalized by a sequential \
              re-search, as with --por); composes with --symmetry and \

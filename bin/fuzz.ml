@@ -24,8 +24,9 @@
      wound-wait and the probabilistic scheme every round;
    - rw invariants: exclusive-abstraction deadlock-freedom implies rw
      deadlock-freedom (2 transactions);
-   - with [--jobs n], n > 1: the deterministic parallel engine
-     (Par.Par_explore) vs the sequential explorer — identical state
+   - with [--jobs n], n > 1: Par.Par_explore at 2..n jobs (the
+     kernel's FIFO policy behind the jobs interface) vs the sequential
+     explorer — identical state
      counts, identical deadlock witnesses, identical Lemma-1
      counterexamples, identical Theorem-1 prefix verdicts;
    - with [--symmetry]: the orbit-canonicalized engines (Sched.Canon)
@@ -70,7 +71,7 @@ let () =
       ("--txns", Arg.Set_int txns, "transactions per system (default 3)");
       ( "--jobs",
         Arg.Set_int jobs,
-        "also cross-check the parallel engine with 2..jobs domains \
+        "also cross-check Par_explore at 2..jobs jobs \
          (default 1 = off)" );
       ( "--symmetry",
         Arg.Set symmetry,
@@ -248,7 +249,7 @@ let () =
             ("probabilistic", Sim.Recovery.Probabilistic);
           ])
       [ ("tpcc", tpcc_sys); ("replicated", rep_sys) ];
-    (* --- parallel engine vs sequential ground truth --- *)
+    (* --- Par_explore at jobs > 1 vs sequential ground truth --- *)
     if !jobs > 1 then begin
       timed "par" @@ fun () ->
       let j = 2 + (round mod (!jobs - 1)) in
@@ -268,9 +269,9 @@ let () =
         Deadlock.Prefix_search.find ~jobs:j sys = None
         <> (Deadlock.Prefix_search.find sys = None)
       then report "par prefix search" round;
-      (* Telemetry cross-check: both engines must report the same
-         counter totals — the parallel reduction replays the sequential
-         insertion order, so the counts are jobs-invariant. *)
+      (* Telemetry cross-check: both must report the same counter
+         totals — [`Deterministic] runs the FIFO policy at every jobs,
+         so the counts are jobs-invariant. *)
       let counters_after f =
         Obs.Metrics.reset ();
         ignore (f ());

@@ -51,13 +51,10 @@ let deadlock_free ?(max_states = 500_000) ?(jobs = 1) ?(symmetry = false)
       Ddlock_obs.Trace.span "analysis.deadlock_search"
         ~args:[ ("jobs", string_of_int jobs) ]
       @@ fun () ->
+      let mode = if fast then `Fast else `Deterministic in
       match
-        if jobs = 1 && not fast then
-          Explore.find_deadlock ~max_states ~symmetry ~por sys
-        else
-          let mode = if fast then `Fast else `Deterministic in
-          Ddlock_par.Par_explore.find_deadlock ~max_states ~symmetry ~por ~mode
-            ~jobs sys
+        Ddlock_par.Par_explore.find_deadlock ~max_states ~symmetry ~por ~mode
+          ~jobs sys
       with
       | Some (schedule, state) -> Deadlocks { schedule; state }
       | None -> Deadlock_free

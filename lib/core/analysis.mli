@@ -37,13 +37,12 @@ val pp_deadlock_verdict : System.t -> Format.formatter -> deadlock_verdict -> un
 
 (** [deadlock_free ?max_states ?jobs ?symmetry sys] — first tries the
     polynomial sufficient condition (safe ∧ DF ⇒ DF); otherwise runs the
-    bounded exhaustive Theorem-1 search, on [jobs] worker domains when
-    [jobs > 1] (the verdict and witness are identical for every [jobs];
-    see {!Ddlock_par.Par_explore}).  With [~symmetry:true] that search
-    stores one state per orbit of the identical-transaction automorphism
-    group ({!Ddlock_schedule.Canon}) — same verdict, witness valid for
-    the original system, and systems that exhaust the raw budget may fit
-    the reduced one.  Default budget: 500_000 states.  Raises
+    bounded exhaustive Theorem-1 search (the verdict and witness are
+    identical for every [jobs]; see {!Ddlock_par.Par_explore}).  With
+    [~symmetry:true] that search stores one state per orbit of the
+    identical-transaction automorphism group ({!Ddlock_schedule.Canon})
+    — same verdict, witness valid for the original system, and systems
+    that exhaust the raw budget may fit the reduced one.  Default budget: 500_000 states.  Raises
     [Invalid_argument] when [jobs < 1].
 
     With [~por:true] the exhaustive search runs over the
@@ -54,14 +53,12 @@ val pp_deadlock_verdict : System.t -> Format.formatter -> deadlock_verdict -> un
     every [jobs]/[symmetry] combination — only a [Gave_up] budget
     count can differ (it then reports reduced-search states).
 
-    With [~fast:true] the exhaustive search uses the relaxed
-    work-stealing engine ([~mode:`Fast] of {!Ddlock_par.Par_explore})
-    instead of the deterministic one — same witness-canonicalization
+    With [~fast:true] the exhaustive search runs on [jobs] domains under
+    the work-stealing policy ([~mode:`Fast] of {!Ddlock_par.Par_explore})
+    instead of the sequential FIFO one — same witness-canonicalization
     contract as [~por:true], so the verdict and witness are again
     identical to the plain analysis (only a [Gave_up] count can
-    differ).  [fast] composes with [symmetry], [por] and any [jobs]
-    (including 1, where it still swaps the representation-optimized
-    engine in). *)
+    differ).  [fast] composes with [symmetry], [por] and any [jobs]. *)
 val deadlock_free :
   ?max_states:int ->
   ?jobs:int ->
@@ -86,9 +83,9 @@ type report = {
 }
 
 (** Full analysis: structural statistics plus both verdicts.  [jobs]
-    parallelizes the exhaustive deadlock search, [symmetry] shrinks it
-    to orbit representatives and [por] to a persistent/sleep-set
-    reduced space (verdict unchanged any way). *)
+    with [fast] parallelizes the exhaustive deadlock search, [symmetry]
+    shrinks it to orbit representatives and [por] to a
+    persistent/sleep-set reduced space (verdict unchanged any way). *)
 val report :
   ?max_states:int ->
   ?jobs:int ->

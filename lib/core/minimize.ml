@@ -16,13 +16,10 @@ let obs_shrunk = Ddlock_obs.Metrics.Counter.make "minimize.shrink_steps"
    canonicalization cost; see {!Explore.deadlock_free}). *)
 let deadlocks ?max_states ?(jobs = 1) ?symmetry ?por ?(fast = false) sys =
   Ddlock_obs.Metrics.Counter.incr obs_candidates;
+  let mode = if fast then `Fast else `Deterministic in
   match
-    if jobs = 1 && not fast then
-      Explore.deadlock_free ?max_states ?symmetry ?por sys
-    else
-      let mode = if fast then `Fast else `Deterministic in
-      Ddlock_par.Par_explore.deadlock_free ?max_states ?symmetry ?por ~mode
-        ~jobs sys
+    Ddlock_par.Par_explore.deadlock_free ?max_states ?symmetry ?por ~mode ~jobs
+      sys
   with
   | false -> Some true
   | true -> Some false

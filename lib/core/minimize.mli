@@ -21,18 +21,17 @@ type result = {
 
 (** [deadlock_core ?max_states ?jobs ?symmetry sys] — requires the input
     to deadlock (returns [None] otherwise or when the search budget is
-    exceeded).  [jobs > 1] runs each deadlockability re-check on the
-    parallel engine, and [~symmetry:true] makes every re-check store one
+    exceeded).  [~symmetry:true] makes every re-check store one
     state per identical-transaction orbit ({!Ddlock_schedule.Canon});
     the minimized core is identical for every [jobs] and either
     [symmetry] flag (the group is re-detected per candidate, so shrunk
     systems keep whatever symmetry they retain).  With [~por:true]
     every re-check is a verdict-only persistent/sleep-set reduced
     search ({!Ddlock_schedule.Indep}) — same core, fewer states per
-    probe.  With [~fast:true] every re-check runs on the relaxed
-    work-stealing engine ([~mode:`Fast] of {!Ddlock_par.Par_explore});
-    verdicts are equivalent, so the minimized core is unchanged — the
-    probes are just faster.  Raises [Invalid_argument] when
+    probe.  With [~fast:true] every re-check runs on [jobs] domains
+    under the work-stealing policy ([~mode:`Fast] of
+    {!Ddlock_par.Par_explore}); verdicts are equivalent, so the
+    minimized core is unchanged — the probes are just faster.  Raises [Invalid_argument] when
     [jobs < 1]. *)
 val deadlock_core :
   ?max_states:int ->

@@ -11,62 +11,28 @@ module Obs_t = Ddlock_obs.Trace
 let obs_prefix_witnesses =
   Ddlock_obs.Metrics.Counter.make "prefix_search.witnesses"
 
-let scan ?max_states sys =
-  let sp = Explore.explore ?max_states sys in
-  Seq.filter_map
-    (fun st ->
-      let r = Reduction.make sys st in
-      match Reduction.find_cycle r with
-      | None -> None
-      | Some cycle -> Some (st, cycle, sp))
-    (Explore.states sp)
-
 let cyclic sys st = Reduction.has_cycle (Reduction.make sys st)
 
-(* The reduction-graph predicate is invariant under identical-transaction
-   permutations (the graph is renamed node-for-node), so with
-   [~symmetry:true] the goal-directed searches may evaluate it on orbit
-   representatives; the engines hand back a schedule and prefix already
-   translated to the original system, and the cycle is recomputed on that
-   real prefix. *)
+(* By Theorem 1 a cyclic reduction graph is reachable iff a deadlock
+   state is.  The reduction-graph predicate is invariant under
+   identical-transaction permutations (the graph is renamed
+   node-for-node), so with [~symmetry:true] the search may evaluate it on
+   orbit representatives; the engine hands back a schedule and prefix
+   already translated to the original system, and the cycle is
+   recomputed on that real prefix.  With [~por:true] the search is sound
+   because the persistent/sleep-set reduction preserves every reachable
+   deadlock state. *)
 let find ?max_states ?(jobs = 1) ?(symmetry = false) ?(por = false)
     ?(fast = false) sys =
-  Ddlock_par.Par_explore.validate_jobs jobs;
   Obs_t.span "prefix_search.find" @@ fun () ->
-  (* With [~por:true] the goal-directed search is sound because a
-     cyclic reduction graph is reachable iff a deadlock state is
-     (Theorem 1), and the persistent/sleep-set reduction preserves
-     every reachable deadlock state.  With [~por]/[~fast] the witness
-     is the first cyclic prefix in the reduced/relaxed order — valid,
-     not necessarily the plain engine's choice. *)
-  let of_witness = function
-    | None -> None
-    | Some (schedule, prefix) ->
-        let cycle =
-          match Reduction.find_cycle (Reduction.make sys prefix) with
-          | Some c -> c
-          | None -> assert false
-        in
-        Some { prefix; schedule; cycle }
-  in
-  let goal_bfs ~por =
-    if jobs = 1 && not fast then
-      Explore.bfs ?max_states ~symmetry ~por sys ~found:(cyclic sys)
-    else
-      let mode = if fast then `Fast else `Deterministic in
-      Ddlock_par.Par_explore.bfs ?max_states ~symmetry ~por ~mode ~jobs sys
-        ~found:(cyclic sys)
-  in
+  let mode = if fast then `Fast else `Deterministic in
   let r =
-    if por then of_witness (goal_bfs ~por:true)
-    else if symmetry || fast then of_witness (goal_bfs ~por:false)
-    else if jobs = 1 then
-      match scan ?max_states sys () with
-      | Seq.Nil -> None
-      | Seq.Cons ((prefix, cycle, sp), _) ->
-          let schedule = Option.get (Explore.schedule_to sp prefix) in
-          Some { prefix; schedule; cycle }
-    else of_witness (goal_bfs ~por:false)
+    Option.map
+      (fun (schedule, prefix) ->
+        let cycle = Option.get (Reduction.find_cycle (Reduction.make sys prefix)) in
+        { prefix; schedule; cycle })
+      (Ddlock_par.Par_explore.bfs ?max_states ~symmetry ~por ~mode ~jobs sys
+         ~found:(cyclic sys))
   in
   if r <> None then Ddlock_obs.Metrics.Counter.incr obs_prefix_witnesses;
   r
@@ -74,28 +40,13 @@ let find ?max_states ?(jobs = 1) ?(symmetry = false) ?(por = false)
 let deadlock_free ?max_states ?jobs ?symmetry ?por ?fast sys =
   find ?max_states ?jobs ?symmetry ?por ?fast sys = None
 
+(* With [~por:true] the cyclic states of the reduced space: a subset of
+   the plain result, nonempty iff the plain result is (Theorem 1
+   again). *)
 let all ?max_states ?(jobs = 1) ?(symmetry = false) ?(por = false)
     ?(fast = false) sys =
-  Ddlock_par.Par_explore.validate_jobs jobs;
-  let par_states ~por =
-    let mode = if fast then `Fast else `Deterministic in
-    let sp =
-      Ddlock_par.Par_explore.explore ?max_states ~symmetry ~por ~mode ~jobs sys
-    in
-    Seq.filter (cyclic sys) (Ddlock_par.Par_explore.states sp)
+  let mode = if fast then `Fast else `Deterministic in
+  let sp =
+    Ddlock_par.Par_explore.explore ?max_states ~symmetry ~por ~mode ~jobs sys
   in
-  if por then
-    (* Cyclic states of the reduced space: a subset of the plain
-       result, nonempty iff the plain result is (Theorem 1 again). *)
-    if jobs = 1 && not fast then
-      let sp = Explore.explore ?max_states ~symmetry ~por:true sys in
-      Seq.filter (cyclic sys) (Explore.states sp)
-    else par_states ~por:true
-  else if symmetry then
-    if jobs = 1 && not fast then
-      let sp = Explore.explore ?max_states ~symmetry sys in
-      Seq.filter (cyclic sys) (Explore.states sp)
-    else par_states ~por:false
-  else if jobs = 1 && not fast then
-    Seq.map (fun (st, _, _) -> st) (scan ?max_states sys)
-  else par_states ~por:false
+  Seq.filter (cyclic sys) (Ddlock_par.Par_explore.states sp)

@@ -14,22 +14,18 @@ type witness = {
   cycle : Step.t list;  (** a cycle of R(A′) *)
 }
 
-(** First deadlock prefix found.  With [jobs = 1] (the default) the
-    exact historical sequential path runs: the whole space is explored,
-    then scanned in table order.  With [jobs > 1] the search runs on the
-    deterministic parallel engine ({!Ddlock_par.Par_explore}), evaluating
-    the reduction-graph predicate concurrently, and returns the {e
-    canonical} witness — the first deadlock prefix in BFS insertion
-    order (hence of minimal depth) — identically for every [jobs > 1].
+(** The first deadlock prefix in BFS insertion order (hence of minimal
+    depth), with a schedule realizing it.  The search runs on the
+    exploration kernel ({!Ddlock_par.Par_explore}) and evaluates the
+    reduction-graph predicate on each state as it is discovered, so it
+    stops at the first hit.  The witness is the same for every [jobs].
     Raises [Invalid_argument] when [jobs < 1].
 
     With [~symmetry:true] the search runs over orbit representatives of
     the identical-transaction automorphism group (sound because the
     reduction-graph predicate is invariant under those permutations);
     the returned schedule and prefix are translated back to the original
-    system, identically for {e every} [jobs] (including [jobs = 1],
-    which then also takes the BFS goal-directed path rather than the
-    historical table-order scan).
+    system.
 
     With [~por:true] the search runs over the persistent/sleep-set
     reduced space ({!Ddlock_schedule.Indep}) — sound here because a
@@ -37,11 +33,10 @@ type witness = {
     and the reduction preserves every reachable deadlock state.  The
     verdict is identical to plain; the witness is the first cyclic
     prefix in the {e reduced} BFS order (valid, but possibly a
-    different prefix than the plain engine returns), identical for
-    every [jobs].
+    different prefix than the plain search returns).
 
-    With [~fast:true] the search runs on the relaxed work-stealing
-    engine ([~mode:`Fast] of {!Ddlock_par.Par_explore}) for any [jobs]
+    With [~fast:true] the search runs on the work-stealing policy
+    ([~mode:`Fast] of {!Ddlock_par.Par_explore}) for any [jobs]
     (including 1).  The verdict is identical to plain; the witness is
     whichever cyclic prefix a worker reached first — valid, but not
     deterministic across runs. *)
@@ -68,13 +63,13 @@ val deadlock_free :
   System.t ->
   bool
 
-(** All deadlock prefixes (reachable states with cyclic R).  With
-    [jobs > 1] the result is in deterministic BFS discovery order; with
-    [~symmetry:true] one representative per deadlock-prefix orbit; with
-    [~por:true] the cyclic states of the reduced space — a subset of
-    the plain result that is nonempty iff the plain result is.  With
-    [~fast:true] the same state {e set} in fast shard order (or a
-    valid reduced set, under [~por:true]). *)
+(** All deadlock prefixes (reachable states with cyclic R), in BFS
+    discovery order for every [jobs]; with [~symmetry:true] one
+    representative per deadlock-prefix orbit; with [~por:true] the
+    cyclic states of the reduced space — a subset of the plain result
+    that is nonempty iff the plain result is.  With [~fast:true] the
+    same state {e set} in shard order (or a valid reduced set, under
+    [~por:true]). *)
 val all :
   ?max_states:int ->
   ?jobs:int ->

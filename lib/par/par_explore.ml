@@ -1,1122 +1,48 @@
-open Ddlock_model
 open Ddlock_schedule
 
-(* Deterministic multicore state-space exploration.
-
-   The search is a level-synchronous BFS over [jobs] worker domains.
-   The visited set is sharded by a hash of the state key, one hash table
-   per shard, owned by one domain — no global lock.  Each level runs in
-   three phases:
-
-   A. expansion (parallel): workers take strided slices of the frontier,
-      compute successors in the canonical enabled order, and hand each
-      candidate to the channel of the shard owning its key;
-
-   B. dedup (parallel): every shard owner drains its channel, drops
-      candidates already in its table, keeps for each new key the
-      candidate with the smallest (parent rank, successor index), sorts,
-      and evaluates the goal predicate on the survivors;
-
-   C. reduction (sequential, cheap): the per-shard sorted runs are merged
-      on (parent rank, successor index).  That order IS the sequential
-      BFS insertion order, so ranks, parent pointers, the [max_states]
-      cap and the first goal state all come out bit-identical to the
-      sequential engine, for every value of [jobs].
-
-   Only phase C is sequential, and it does one hash-table insert per
-   state; the expensive work — successor computation, key construction,
-   goal predicates such as deadlock or reduction-graph checks — happens
-   in phases A and B on all domains. *)
+(* Every search here is the exploration kernel ({!Kernel}):
+   [`Deterministic] runs its FIFO policy at any [jobs], [`Fast] its
+   work-stealing policy on [jobs] domains. *)
 
 let validate_jobs jobs =
   if jobs < 1 then
     invalid_arg (Printf.sprintf "jobs must be >= 1 (got %d)" jobs)
 
-(* Telemetry.  [explore.states_visited] is shared with the sequential
-   engine and incremented in the deterministic reduction (phase C), which
-   replays the sequential insertion sequence — so the total is invariant
-   under [jobs] by construction.  The [par.*] metrics describe the
-   parallel machinery itself (levels, handoffs, imbalance) and naturally
-   depend on [jobs]. *)
-module Obs = struct
-  module T = Ddlock_obs.Trace
-  module M = Ddlock_obs.Metrics
-
-  let states_visited = M.Counter.make "explore.states_visited"
-  let deadlock_witnesses = M.Counter.make "explore.deadlock_witnesses"
-  let searches = M.Counter.make "explore.searches"
-  let canon_hits = M.Counter.make "canon.hits"
-  let levels = M.Counter.make "par.levels"
-  let handoffs = M.Counter.make "par.handoffs"
-
-  (* Fast-mode machinery.  These describe racy scheduling decisions
-     (who stole what, which arrival deduplicated) and are NOT
-     jobs-invariant — unlike every deterministic-mode counter.  The
-     deterministic engine never touches them, so the fuzz counter
-     cross-check can keep asserting jobs-invariance for it. *)
-  let steals = M.Counter.make "par.steals"
-  let intern_hits = M.Counter.make "par.intern_hits"
-  let arena_reuse = M.Counter.make "par.arena_reuse"
-  let frontier = M.Histogram.make "par.frontier_states"
-  let imbalance = M.Histogram.make "par.shard_imbalance"
-  let frontier_peak = M.Gauge.make "par.frontier_peak"
-
-  (* Shared with the sequential reduced engine; bumped once per work-item
-     expansion in phase A.  The work-item multiset is jobs-invariant (the
-     covering-rule replay in phase C is sequential), so the totals are
-     jobs-invariant like [explore.states_visited]. *)
-  let por_pruned = M.Counter.make "por.pruned"
-  let por_persistent_size = M.Counter.make "por.persistent_size"
-
-  let por_expand ~enabled ~persistent ~selected =
-    M.Counter.add por_pruned (enabled - selected);
-    M.Counter.add por_persistent_size persistent
-end
-
-(* A search instance over an abstract node type: the plain state space
-   and the Lemma-1 extended space both instantiate this. *)
-type 'n ops = {
-  key : 'n -> string;
-  hash : 'n -> int;  (* compatible with [equal]; fast-mode intern tables *)
-  equal : 'n -> 'n -> bool;
-  next : 'n -> (Step.t * 'n) list;  (* canonical successor order *)
-  restrict : 'n -> bool;
-  found : 'n -> bool;
-  moved : parent:'n -> Step.t -> 'n -> bool;
-      (* whether the stored successor differs from the raw one (symmetry
-         canonicalization); evaluated at insertion so the [canon.hits]
-         total is jobs-invariant, and only while telemetry is on *)
-}
-
-type 'n entry = {
-  node : 'n;
-  parent : string option;
-  via : Step.t option;
-  rank : int;  (* sequential BFS insertion rank (initial state = 0) *)
-}
-
-type 'n table = {
-  jobs : int;
-  shards : (string, 'n entry) Hashtbl.t array;
-  mutable total : int;
-}
-
-let shard_key ~jobs k = Hashtbl.hash k mod jobs
-let find_entry t k = Hashtbl.find_opt t.shards.(shard_key ~jobs:t.jobs k) k
-
-let path_to t k =
-  let rec go k acc =
-    match find_entry t k with
-    | None -> None
-    | Some { parent = None; _ } -> Some acc
-    | Some { parent = Some p; via = Some s; _ } -> go p (s :: acc)
-    | Some { parent = Some _; via = None; _ } -> assert false
-  in
-  go k []
-
-type 'n cand = {
-  ckey : string;
-  cnode : 'n;
-  parent_rank : int;
-  parent_key : string;
-  via_step : Step.t;
-  ord : int;  (* index of this successor in the parent's enabled order *)
-  mutable hit : bool;
-}
-
-let cand_order a b =
-  match compare a.parent_rank b.parent_rank with
-  | 0 -> compare a.ord b.ord
-  | c -> c
-
-(* Run [f 0 .. f (jobs-1)] concurrently; returning is the barrier.
-   The spawning domain's request context is re-installed in each child
-   so worker spans stay attributed to the request being served. *)
-let run_phase ~jobs f =
-  if jobs = 1 then f 0
-  else begin
-    let req = Ddlock_obs.Request.current () in
-    let doms =
-      Array.init (jobs - 1) (fun w ->
-          Domain.spawn (fun () ->
-              Ddlock_obs.Request.with_id req (fun () -> f (w + 1))))
-    in
-    f 0;
-    Array.iter Domain.join doms
-  end
-
-type 'n outcome = Space of 'n table | Witness of Step.t list * 'n
-
-let search_core ~max_states ~jobs ~ops init =
-  validate_jobs jobs;
-  Ddlock_obs.Metrics.Counter.incr Obs.searches;
-  Obs.T.span "par.search" ~args:[ ("jobs", string_of_int jobs) ] @@ fun () ->
-  let t =
-    { jobs; shards = Array.init jobs (fun _ -> Hashtbl.create 256); total = 0 }
-  in
-  if max_states < 1 then raise (Explore.Too_large 0);
-  let ikey = ops.key init in
-  Hashtbl.add t.shards.(shard_key ~jobs ikey) ikey
-    { node = init; parent = None; via = None; rank = 0 };
-  t.total <- 1;
-  Obs.M.Counter.incr Obs.states_visited;
-  if ops.found init then Witness ([], init)
-  else begin
-    let frontier = ref [| (0, ikey, init) |] in
-    let witness = ref None in
-    let level = ref 0 in
-    while Option.is_none !witness && Array.length !frontier > 0 do
-      let fr = !frontier in
-      let nfr = Array.length fr in
-      Obs.M.Counter.incr Obs.levels;
-      Obs.M.Histogram.observe Obs.frontier nfr;
-      Obs.M.Gauge.set_max Obs.frontier_peak nfr;
-      let level_arg =
-        if Ddlock_obs.Control.is_on () then
-          [ ("level", string_of_int !level); ("frontier", string_of_int nfr) ]
-        else []
-      in
-      incr level;
-      let chans = Array.init jobs (fun _ -> Par_channel.create ()) in
-      (* Phase A: parallel expansion with cross-shard handoff. *)
-      run_phase ~jobs (fun w ->
-          Obs.T.span "par.expand" ~args:level_arg @@ fun () ->
-          let buckets = Array.make jobs [] in
-          let i = ref w in
-          while !i < nfr do
-            let prank, pkey, pnode = fr.(!i) in
-            List.iteri
-              (fun ord (step, node') ->
-                if ops.restrict node' then begin
-                  let ckey = ops.key node' in
-                  let s = shard_key ~jobs ckey in
-                  buckets.(s) <-
-                    {
-                      ckey;
-                      cnode = node';
-                      parent_rank = prank;
-                      parent_key = pkey;
-                      via_step = step;
-                      ord;
-                      hit = false;
-                    }
-                    :: buckets.(s)
-                end)
-              (ops.next pnode);
-            i := !i + jobs
-          done;
-          Array.iteri
-            (fun s b ->
-              if b <> [] then begin
-                Obs.M.Counter.add Obs.handoffs (List.length b);
-                Par_channel.send chans.(s) b
-              end)
-            buckets);
-      (* Phase B: per-shard dedup, sort, and goal evaluation. *)
-      let per_shard = Array.make jobs [||] in
-      run_phase ~jobs (fun j ->
-          Obs.T.span "par.dedup" ~args:level_arg @@ fun () ->
-          let best = Hashtbl.create 64 in
-          List.iter
-            (List.iter (fun c ->
-                 if not (Hashtbl.mem t.shards.(j) c.ckey) then
-                   match Hashtbl.find_opt best c.ckey with
-                   | None -> Hashtbl.replace best c.ckey c
-                   | Some c0 ->
-                       if cand_order c c0 < 0 then Hashtbl.replace best c.ckey c))
-            (Par_channel.drain chans.(j));
-          let arr = Array.of_seq (Hashtbl.to_seq_values best) in
-          Array.sort cand_order arr;
-          Array.iter (fun c -> c.hit <- ops.found c.cnode) arr;
-          per_shard.(j) <- arr);
-      (if Ddlock_obs.Control.is_on () then
-         let mx = ref 0 and mn = ref max_int in
-         Array.iter
-           (fun a ->
-             let n = Array.length a in
-             if n > !mx then mx := n;
-             if n < !mn then mn := n)
-           per_shard;
-         Obs.M.Histogram.observe Obs.imbalance (max 0 (!mx - !mn)));
-      (* Phase C: deterministic reduction — merge the sorted shard runs in
-         sequential BFS insertion order, enforcing the cap exactly and
-         stopping at the first goal state. *)
-      Obs.T.span "par.reduce" ~args:level_arg @@ fun () ->
-      let next = ref [] and nnext = ref 0 in
-      let idx = Array.make jobs 0 in
-      let stop = ref false in
-      while not !stop do
-        let bestj = ref (-1) in
-        for j = 0 to jobs - 1 do
-          if
-            idx.(j) < Array.length per_shard.(j)
-            && (!bestj < 0
-               || cand_order per_shard.(j).(idx.(j))
-                    per_shard.(!bestj).(idx.(!bestj))
-                  < 0)
-          then bestj := j
-        done;
-        if !bestj < 0 then stop := true
-        else begin
-          let j = !bestj in
-          let c = per_shard.(j).(idx.(j)) in
-          idx.(j) <- idx.(j) + 1;
-          if t.total >= max_states then raise (Explore.Too_large t.total);
-          let rank = t.total in
-          Hashtbl.add t.shards.(j) c.ckey
-            {
-              node = c.cnode;
-              parent = Some c.parent_key;
-              via = Some c.via_step;
-              rank;
-            };
-          t.total <- t.total + 1;
-          Obs.M.Counter.incr Obs.states_visited;
-          (if Ddlock_obs.Control.is_on () then
-             match find_entry t c.parent_key with
-             | Some pe ->
-                 if ops.moved ~parent:pe.node c.via_step c.cnode then
-                   Obs.M.Counter.incr Obs.canon_hits
-             | None -> ());
-          next := (rank, c.ckey, c.cnode) :: !next;
-          incr nnext;
-          if c.hit then begin
-            witness := Some (Option.get (path_to t c.ckey), c.cnode);
-            stop := true
-          end
-        end
-      done;
-      frontier :=
-        (match !witness with
-        | Some _ -> [||]
-        | None ->
-            let n = !nnext in
-            let arr = Array.make n (0, ikey, init) in
-            List.iteri (fun i x -> arr.(n - 1 - i) <- x) !next;
-            arr)
-    done;
-    match !witness with
-    | Some (steps, n) -> Witness (steps, n)
-    | None -> Space t
-  end
-
-(* ------------------------- plain state space ---------------------- *)
-
-let state_ops sys ~restrict ~found =
-  {
-    key = State.key;
-    hash = State.hash;
-    equal = State.equal;
-    next =
-      (fun st -> List.map (fun s -> (s, State.apply st s)) (State.enabled sys st));
-    restrict;
-    found;
-    moved = (fun ~parent:_ _ _ -> false);
-  }
-
-(* Quotient-space instance: successors are orbit representatives, so the
-   dedup shard map keys become canonical keys with no other change —
-   [key] stays [State.key] because the stored nodes are already
-   canonical.  [restrict]/[found] see representatives and must be
-   group-invariant (see {!Explore.bfs}). *)
-let sym_state_ops c sys ~restrict ~found =
-  {
-    key = State.key;
-    hash = State.hash;
-    equal = State.equal;
-    next =
-      (fun rep ->
-        List.map
-          (fun s -> (s, fst (Canon.normalize c (State.apply rep s))))
-          (State.enabled sys rep));
-    restrict;
-    found;
-    moved =
-      (fun ~parent step rep' -> not (State.equal (State.apply parent step) rep'));
-  }
-
-let plain_or_sym_ops canon sys ~restrict ~found =
-  match canon with
-  | None -> state_ops sys ~restrict ~found
-  | Some c -> sym_state_ops c sys ~restrict ~found
-
-let initial_node canon sys =
-  match canon with
-  | None -> State.initial sys
-  | Some c -> fst (Canon.normalize c (State.initial sys))
-
-(* ---------------- partial-order reduced state space ----------------
-
-   Persistent/sleep-set selective search ({!Ddlock_schedule.Indep}),
-   parallelized with the same three-phase level discipline as
-   [search_core].  Work items are (state, sleep set) pairs.  Unlike
-   the plain engine, phase B performs NO deduplication: an arrival at
-   an already-stored state still matters — the sequential
-   covering-rule replay in phase C shrinks the stored sleep set to the
-   intersection and re-enqueues the state when the arrival's sleep set
-   does not cover it.  Phase C processes candidates in (parent
-   work-item rank, successor index) order, which is exactly the
-   sequential [Explore] reduced queue order, so tables, sleep sets,
-   work-item streams, telemetry totals, the cap and the first goal
-   state are all bit-identical to the sequential reduced engine for
-   every [jobs]. *)
-
-type por_item = {
-  wrank : int;
-  wkey : string;
-  wnode : State.t;
-  wsleep : Step.t list;
-}
-
-type por_cand = {
-  pckey : string;
-  pcnode : State.t;
-  pcmoved : bool;
-  pcsleep : Step.t list;
-  pparent_rank : int;
-  pparent_key : string;
-  pvia : Step.t;
-  pord : int;
-  mutable phit : bool;
-}
-
-let por_cand_order a b =
-  match compare a.pparent_rank b.pparent_rank with
-  | 0 -> compare a.pord b.pord
-  | c -> c
-
-let por_core ~max_states ~jobs ~canon ~restrict ~found sys =
-  validate_jobs jobs;
-  Obs.M.Counter.incr Obs.searches;
-  Obs.T.span "par.por" ~args:[ ("jobs", string_of_int jobs) ] @@ fun () ->
-  let t =
-    { jobs; shards = Array.init jobs (fun _ -> Hashtbl.create 256); total = 0 }
-  in
-  if max_states < 1 then raise (Explore.Too_large 0);
-  let init = initial_node canon sys in
-  let ikey = State.key init in
-  Hashtbl.add t.shards.(shard_key ~jobs ikey) ikey
-    { node = init; parent = None; via = None; rank = 0 };
-  t.total <- 1;
-  Obs.M.Counter.incr Obs.states_visited;
-  let sleeps : (string, Step.t list) Hashtbl.t = Hashtbl.create 1024 in
-  Hashtbl.replace sleeps ikey [];
-  if found init then Witness ([], init)
-  else begin
-    let frontier =
-      ref [| { wrank = 0; wkey = ikey; wnode = init; wsleep = [] } |]
-    in
-    let next_wrank = ref 1 in
-    let witness = ref None in
-    while Option.is_none !witness && Array.length !frontier > 0 do
-      let fr = !frontier in
-      let nfr = Array.length fr in
-      Obs.M.Counter.incr Obs.levels;
-      Obs.M.Histogram.observe Obs.frontier nfr;
-      Obs.M.Gauge.set_max Obs.frontier_peak nfr;
-      let chans = Array.init jobs (fun _ -> Par_channel.create ()) in
-      (* Phase A: parallel selective expansion. *)
-      run_phase ~jobs (fun w ->
-          Obs.T.span "par.por_expand" @@ fun () ->
-          let buckets = Array.make jobs [] in
-          let i = ref w in
-          while !i < nfr do
-            let it = fr.(!i) in
-            let exp = Indep.expand ?canon sys it.wnode ~sleep:it.wsleep in
-            Obs.por_expand ~enabled:exp.Indep.enabled_count
-              ~persistent:exp.Indep.persistent_count
-              ~selected:(List.length exp.Indep.succs);
-            List.iteri
-              (fun ord { Indep.step; succ; moved; sleep } ->
-                if restrict succ then begin
-                  let ckey = State.key succ in
-                  let s = shard_key ~jobs ckey in
-                  buckets.(s) <-
-                    {
-                      pckey = ckey;
-                      pcnode = succ;
-                      pcmoved = moved;
-                      pcsleep = sleep;
-                      pparent_rank = it.wrank;
-                      pparent_key = it.wkey;
-                      pvia = step;
-                      pord = ord;
-                      phit = false;
-                    }
-                    :: buckets.(s)
-                end)
-              exp.Indep.succs;
-            i := !i + jobs
-          done;
-          Array.iteri
-            (fun s b ->
-              if b <> [] then begin
-                Obs.M.Counter.add Obs.handoffs (List.length b);
-                Par_channel.send chans.(s) b
-              end)
-            buckets);
-      (* Phase B: per-shard sort (no dedup — the covering rule needs
-         every arrival) and goal pre-evaluation for possibly-new keys. *)
-      let per_shard = Array.make jobs [||] in
-      run_phase ~jobs (fun j ->
-          Obs.T.span "par.por_collect" @@ fun () ->
-          let arr =
-            Array.of_list (List.concat (Par_channel.drain chans.(j)))
-          in
-          Array.sort por_cand_order arr;
-          Array.iter
-            (fun c ->
-              if not (Hashtbl.mem t.shards.(j) c.pckey) then
-                c.phit <- found c.pcnode)
-            arr;
-          per_shard.(j) <- arr);
-      (* Phase C: sequential covering-rule replay in global candidate
-         order. *)
-      Obs.T.span "par.por_reduce" @@ fun () ->
-      let next = ref [] and nnext = ref 0 in
-      let idx = Array.make jobs 0 in
-      let stop = ref false in
-      while not !stop do
-        let bestj = ref (-1) in
-        for j = 0 to jobs - 1 do
-          if
-            idx.(j) < Array.length per_shard.(j)
-            && (!bestj < 0
-               || por_cand_order per_shard.(j).(idx.(j))
-                    per_shard.(!bestj).(idx.(!bestj))
-                  < 0)
-          then bestj := j
-        done;
-        if !bestj < 0 then stop := true
-        else begin
-          let j = !bestj in
-          let c = per_shard.(j).(idx.(j)) in
-          idx.(j) <- idx.(j) + 1;
-          match Hashtbl.find_opt sleeps c.pckey with
-          | None ->
-              if t.total >= max_states then raise (Explore.Too_large t.total);
-              let rank = t.total in
-              Hashtbl.add t.shards.(j) c.pckey
-                {
-                  node = c.pcnode;
-                  parent = Some c.pparent_key;
-                  via = Some c.pvia;
-                  rank;
-                };
-              t.total <- t.total + 1;
-              Obs.M.Counter.incr Obs.states_visited;
-              if c.pcmoved then Obs.M.Counter.incr Obs.canon_hits;
-              Hashtbl.replace sleeps c.pckey c.pcsleep;
-              if c.phit then begin
-                witness := Some (Option.get (path_to t c.pckey), c.pcnode);
-                stop := true
-              end
-              else begin
-                next :=
-                  {
-                    wrank = !next_wrank;
-                    wkey = c.pckey;
-                    wnode = c.pcnode;
-                    wsleep = c.pcsleep;
-                  }
-                  :: !next;
-                incr next_wrank;
-                incr nnext
-              end
-          | Some stored -> (
-              match Indep.sleep_covered ~stored ~incoming:c.pcsleep with
-              | `Covered -> ()
-              | `Shrink z ->
-                  Hashtbl.replace sleeps c.pckey z;
-                  let node = (Option.get (find_entry t c.pckey)).node in
-                  next :=
-                    { wrank = !next_wrank; wkey = c.pckey; wnode = node;
-                      wsleep = z }
-                    :: !next;
-                  incr next_wrank;
-                  incr nnext)
-        end
-      done;
-      frontier :=
-        (match !witness with
-        | Some _ -> [||]
-        | None ->
-            let n = !nnext in
-            let arr =
-              Array.make n { wrank = 0; wkey = ikey; wnode = init; wsleep = [] }
-            in
-            List.iteri (fun i x -> arr.(n - 1 - i) <- x) !next;
-            arr)
-    done;
-    match !witness with
-    | Some (steps, n) -> Witness (steps, n)
-    | None -> Space t
-  end
-
-(* ----------------------- relaxed fast engine -----------------------
-
-   [`Fast] mode drops the per-level barrier and the sequential phase-C
-   reduction entirely: [jobs] workers run independent work-stealing
-   loops ({!Ws_deque}: LIFO owner end, batch FIFO steals), and the
-   visited set is a fixed number of hash shards, each an intern table
-   ({!Ddlock_schedule.Intern}) behind its own mutex.  States never grow
-   string keys — dedup compares structural hashes and [ops.equal], and
-   every stored state gets a dense integer id, so parent pointers and
-   via-steps live in packed int arrays (the arena) instead of per-entry
-   records.
-
-   What is preserved exactly: the set of reachable states (when no
-   witness/cap/cancel stops the search early), hence verdicts; witness
-   VALIDITY (the parent chain is a real path from the initial state).
-   What is relaxed: discovery order, which witness is found first, and
-   which counters tick where ([par.steals] etc. are racy by nature).
-   Callers that need byte-identical output re-canonicalize a positive
-   verdict with a plain re-search, exactly as [`--por`] does.
-
-   Termination: [pending] counts queued-but-unfinished work items
-   (incremented before a push, decremented after the item's expansion
-   completes), so an empty deque with [pending = 0] means the whole
-   search is drained.  Early exit: any worker that finds a witness
-   CASes its id into [witness] and raises the [stop] flag; the
-   [max_states] cap works the same way, so the cap can overshoot by at
-   most the items in flight (never undershoot — the overflow check
-   happens after a genuinely new state is interned).  Worker 0 runs in
-   the calling domain, where it polls {!Ddlock_obs.Cancel} (the poll
-   slot is domain-local), raises [stop] on cancellation and re-raises
-   after joining the other domains — that is how serve deadlines reach
-   the child domains. *)
-
-let fast_shards = 64
-
-type 'n fshard = {
-  flock : Mutex.t;
-  fintern : 'n Intern.t;
-  mutable fparent : int array;  (* global id of the parent; -1 at the root *)
-  mutable fvia_txn : int array;  (* via step, packed; -1 at the root *)
-  mutable fvia_node : int array;
-  mutable fsleep : Step.t list array;  (* POR only: stored sleep sets *)
-}
-
-let fshard_create ~hash ~equal () =
-  {
-    flock = Mutex.create ();
-    fintern = Intern.create ~equal ~hash ();
-    fparent = [||];
-    fvia_txn = [||];
-    fvia_node = [||];
-    fsleep = [||];
-  }
-
-(* Caller holds [flock].  Grow the packed arrays to cover [lid]. *)
-let ensure_arrays sh lid =
-  let cap = Array.length sh.fparent in
-  if lid >= cap then begin
-    let ncap = max 16 (max (lid + 1) (2 * cap)) in
-    let grow a fill =
-      let b = Array.make ncap fill in
-      Array.blit a 0 b 0 cap;
-      b
-    in
-    sh.fparent <- grow sh.fparent (-1);
-    sh.fvia_txn <- grow sh.fvia_txn (-1);
-    sh.fvia_node <- grow sh.fvia_node (-1);
-    sh.fsleep <- grow sh.fsleep []
-  end
-
-let fast_shard_of ~hash n = hash n land max_int mod fast_shards
-let fast_gid ~shard lid = (lid * fast_shards) + shard
-
-(* Steps from the root to [gid], rebuilt from the packed parent/via
-   chains (read-only after the worker domains have been joined). *)
-let fast_path shards gid0 =
-  let rec go gid acc =
-    let sh = shards.(gid mod fast_shards) and lid = gid / fast_shards in
-    let p = sh.fparent.(lid) in
-    if p < 0 then acc
-    else go p (Step.v sh.fvia_txn.(lid) sh.fvia_node.(lid) :: acc)
-  in
-  go gid0 []
-
-let fast_node shards gid =
-  Intern.get shards.(gid mod fast_shards).fintern (gid / fast_shards)
-
-type 'n fast_space = { fshards : 'n fshard array; ftotal : int }
-type 'n fast_outcome = FSpace of 'n fast_space | FWitness of Step.t list * 'n
-
-(* The work-stealing worker loop shared by the plain and POR fast
-   cores.  [process dq item] expands one work item, pushing children
-   onto [dq]. *)
-let fast_run ~jobs ~stop ~pending ~deques ~process =
-  let worker w =
-    let dq = deques.(w) in
-    let rec steal tries v =
-      if tries >= jobs then 0
-      else if v = w then steal (tries + 1) ((v + 1) mod jobs)
-      else
-        let n = Ws_deque.steal_into dq ~victim:deques.(v) in
-        if n > 0 then n else steal (tries + 1) ((v + 1) mod jobs)
-    in
-    let rec loop () =
-      if w = 0 then Ddlock_obs.Cancel.poll ();
-      if not (Atomic.get stop) then
-        match Ws_deque.pop dq with
-        | Some item ->
-            process dq item;
-            Atomic.decr pending;
-            loop ()
-        | None ->
-            if Atomic.get pending = 0 then ()
-            else begin
-              let stolen = steal 0 ((w + 1) mod jobs) in
-              if stolen > 0 then Obs.M.Counter.add Obs.steals stolen
-              else Domain.cpu_relax ();
-              loop ()
-            end
-    in
-    loop ()
-  in
-  let cancelled = ref None in
-  let req = Ddlock_obs.Request.current () in
-  let doms =
-    Array.init (jobs - 1) (fun i ->
-        Domain.spawn (fun () ->
-            Ddlock_obs.Request.with_id req (fun () ->
-                try worker (i + 1)
-                with e ->
-                  Atomic.set stop true;
-                  raise e)))
-  in
-  (try worker 0
-   with Ddlock_obs.Cancel.Cancelled as e ->
-     Atomic.set stop true;
-     cancelled := Some e);
-  Array.iter Domain.join doms;
-  match !cancelled with Some e -> raise e | None -> ()
-
-let fast_flush_structure_counters shards deques =
-  Obs.M.Counter.add Obs.intern_hits
-    (Array.fold_left (fun a sh -> a + Intern.hits sh.fintern) 0 shards);
-  Obs.M.Counter.add Obs.arena_reuse
-    (Array.fold_left (fun a d -> a + Ws_deque.reuses d) 0 deques)
-
-let fast_finish ~witness ~overflow ~total ~shards =
-  let wgid = Atomic.get witness in
-  if wgid >= 0 then FWitness (fast_path shards wgid, fast_node shards wgid)
-  else if Atomic.get overflow then raise (Explore.Too_large (Atomic.get total))
-  else FSpace { fshards = shards; ftotal = Atomic.get total }
-
-let fast_search_core ~max_states ~jobs ~ops init =
-  validate_jobs jobs;
-  Obs.M.Counter.incr Obs.searches;
-  Obs.T.span "par.fast" ~args:[ ("jobs", string_of_int jobs) ] @@ fun () ->
-  if max_states < 1 then raise (Explore.Too_large 0);
-  let shards =
-    Array.init fast_shards (fun _ ->
-        fshard_create ~hash:ops.hash ~equal:ops.equal ())
-  in
-  let s0 = fast_shard_of ~hash:ops.hash init in
-  let lid0, _ = Intern.intern shards.(s0).fintern init in
-  ensure_arrays shards.(s0) lid0;
-  Obs.M.Counter.incr Obs.states_visited;
-  if ops.found init then FWitness ([], init)
-  else begin
-    let total = Atomic.make 1 in
-    let stop = Atomic.make false in
-    let witness = Atomic.make (-1) in
-    let overflow = Atomic.make false in
-    let pending = Atomic.make 1 in
-    let deques = Array.init jobs (fun _ -> Ws_deque.create ()) in
-    Ws_deque.push deques.(0) (fast_gid ~shard:s0 lid0, init);
-    let telemetry = Ddlock_obs.Control.is_on () in
-    let process dq (pgid, pnode) =
-      List.iter
-        (fun (step, node') ->
-          if (not (Atomic.get stop)) && ops.restrict node' then begin
-            let s = fast_shard_of ~hash:ops.hash node' in
-            let sh = shards.(s) in
-            Mutex.lock sh.flock;
-            let lid, was_new = Intern.intern sh.fintern node' in
-            if was_new then begin
-              ensure_arrays sh lid;
-              sh.fparent.(lid) <- pgid;
-              sh.fvia_txn.(lid) <- step.Step.txn;
-              sh.fvia_node.(lid) <- step.Step.node;
-              Mutex.unlock sh.flock;
-              let before = Atomic.fetch_and_add total 1 in
-              if before >= max_states then begin
-                Atomic.set overflow true;
-                Atomic.set stop true
-              end
-              else begin
-                Obs.M.Counter.incr Obs.states_visited;
-                if telemetry && ops.moved ~parent:pnode step node' then
-                  Obs.M.Counter.incr Obs.canon_hits;
-                if ops.found node' then begin
-                  ignore
-                    (Atomic.compare_and_set witness (-1)
-                       (fast_gid ~shard:s lid));
-                  Atomic.set stop true
-                end
-                else begin
-                  Atomic.incr pending;
-                  Ws_deque.push dq (fast_gid ~shard:s lid, node')
-                end
-              end
-            end
-            else Mutex.unlock sh.flock
-          end)
-        (ops.next pnode)
-    in
-    fast_run ~jobs ~stop ~pending ~deques ~process;
-    fast_flush_structure_counters shards deques;
-    fast_finish ~witness ~overflow ~total ~shards
-  end
-
-(* Fast POR: same worker loop over (gid, state, sleep) work items.  The
-   covering rule runs atomically under the shard lock — it is sound for
-   ANY arrival order (sleeps only ever shrink toward the intersection,
-   and every strict shrink re-expands the state), so no sequential
-   replay is needed; the price is that the reduced space and the
-   [por.*] counter totals depend on the race outcomes. *)
-let fast_por_core ~max_states ~jobs ~canon ~restrict ~found sys =
-  validate_jobs jobs;
-  Obs.M.Counter.incr Obs.searches;
-  Obs.T.span "par.fast_por" ~args:[ ("jobs", string_of_int jobs) ] @@ fun () ->
-  if max_states < 1 then raise (Explore.Too_large 0);
-  let init = initial_node canon sys in
-  let shards =
-    Array.init fast_shards (fun _ ->
-        fshard_create ~hash:State.hash ~equal:State.equal ())
-  in
-  let s0 = fast_shard_of ~hash:State.hash init in
-  let lid0, _ = Intern.intern shards.(s0).fintern init in
-  ensure_arrays shards.(s0) lid0;
-  Obs.M.Counter.incr Obs.states_visited;
-  if found init then FWitness ([], init)
-  else begin
-    let total = Atomic.make 1 in
-    let stop = Atomic.make false in
-    let witness = Atomic.make (-1) in
-    let overflow = Atomic.make false in
-    let pending = Atomic.make 1 in
-    let deques = Array.init jobs (fun _ -> Ws_deque.create ()) in
-    Ws_deque.push deques.(0) (fast_gid ~shard:s0 lid0, init, []);
-    let process dq (pgid, pnode, sleep) =
-      let exp = Indep.expand ?canon sys pnode ~sleep in
-      Obs.por_expand ~enabled:exp.Indep.enabled_count
-        ~persistent:exp.Indep.persistent_count
-        ~selected:(List.length exp.Indep.succs);
-      List.iter
-        (fun { Indep.step; succ; moved; sleep = z } ->
-          if (not (Atomic.get stop)) && restrict succ then begin
-            let s = fast_shard_of ~hash:State.hash succ in
-            let sh = shards.(s) in
-            Mutex.lock sh.flock;
-            let lid, was_new = Intern.intern sh.fintern succ in
-            if was_new then begin
-              ensure_arrays sh lid;
-              sh.fparent.(lid) <- pgid;
-              sh.fvia_txn.(lid) <- step.Step.txn;
-              sh.fvia_node.(lid) <- step.Step.node;
-              sh.fsleep.(lid) <- z;
-              Mutex.unlock sh.flock;
-              let before = Atomic.fetch_and_add total 1 in
-              if before >= max_states then begin
-                Atomic.set overflow true;
-                Atomic.set stop true
-              end
-              else begin
-                Obs.M.Counter.incr Obs.states_visited;
-                if moved then Obs.M.Counter.incr Obs.canon_hits;
-                if found succ then begin
-                  ignore
-                    (Atomic.compare_and_set witness (-1)
-                       (fast_gid ~shard:s lid));
-                  Atomic.set stop true
-                end
-                else begin
-                  Atomic.incr pending;
-                  Ws_deque.push dq (fast_gid ~shard:s lid, succ, z)
-                end
-              end
-            end
-            else begin
-              match
-                Indep.sleep_covered ~stored:sh.fsleep.(lid) ~incoming:z
-              with
-              | `Covered -> Mutex.unlock sh.flock
-              | `Shrink z' ->
-                  sh.fsleep.(lid) <- z';
-                  Mutex.unlock sh.flock;
-                  Atomic.incr pending;
-                  Ws_deque.push dq (fast_gid ~shard:s lid, succ, z')
-            end
-          end)
-        exp.Indep.succs
-    in
-    fast_run ~jobs ~stop ~pending ~deques ~process;
-    fast_flush_structure_counters shards deques;
-    fast_finish ~witness ~overflow ~total ~shards
-  end
-
-(* ------------------------- public interface ------------------------ *)
-
 type mode = [ `Deterministic | `Fast ]
 
-type repr = Det of State.t table | Fst of State.t fast_space
-type space = { sys : System.t; repr : repr; canon : Canon.t option; sjobs : int }
+let policy mode jobs =
+  validate_jobs jobs;
+  match mode with `Deterministic -> Kernel.Fifo | `Fast -> Kernel.Work_stealing jobs
 
-let explore ?(max_states = Explore.default_cap) ?(symmetry = false)
-    ?(por = false) ?(mode = `Deterministic) ~jobs sys =
-  let canon = Explore.active_canon ~symmetry sys in
-  match mode with
-  | `Deterministic -> (
-      let outcome =
-        if por then
-          por_core ~max_states ~jobs ~canon ~restrict:(fun _ -> true)
-            ~found:(fun _ -> false) sys
-        else
-          search_core ~max_states ~jobs
-            ~ops:(plain_or_sym_ops canon sys ~restrict:(fun _ -> true)
-                    ~found:(fun _ -> false))
-            (initial_node canon sys)
-      in
-      match outcome with
-      | Space tbl -> { sys; repr = Det tbl; canon; sjobs = jobs }
-      | Witness _ -> assert false)
-  | `Fast -> (
-      let outcome =
-        if por then
-          fast_por_core ~max_states ~jobs ~canon ~restrict:(fun _ -> true)
-            ~found:(fun _ -> false) sys
-        else
-          fast_search_core ~max_states ~jobs
-            ~ops:(plain_or_sym_ops canon sys ~restrict:(fun _ -> true)
-                    ~found:(fun _ -> false))
-            (initial_node canon sys)
-      in
-      match outcome with
-      | FSpace f -> { sys; repr = Fst f; canon; sjobs = jobs }
-      | FWitness _ -> assert false)
+type space = { space : Kernel.space; jobs : int }
 
-let system sp = sp.sys
-let jobs sp = sp.sjobs
+let explore ?max_states ?symmetry ?por ?(mode = `Deterministic) ~jobs sys =
+  { space = Kernel.explore ?max_states ?symmetry ?por (policy mode jobs) sys; jobs }
 
-let state_count sp =
-  match sp.repr with Det t -> t.total | Fst f -> f.ftotal
+let system sp = Kernel.system sp.space
+let jobs sp = sp.jobs
+let state_count sp = Kernel.state_count sp.space
+let states sp = Kernel.states sp.space
+let is_reachable sp = Kernel.is_reachable sp.space
+let schedule_to sp = Kernel.schedule_to sp.space
 
-let states sp =
-  match sp.repr with
-  | Det t ->
-      let arr = Array.make t.total None in
-      Array.iter
-        (fun shard ->
-          Hashtbl.iter (fun _ e -> arr.(e.rank) <- Some e.node) shard)
-        t.shards;
-      Seq.map Option.get (Array.to_seq arr)
-  | Fst f ->
-      (* Shard-major, id-minor: deterministic for a given run, but NOT
-         the BFS rank order — fast spaces have none. *)
-      Seq.concat
-        (Seq.map
-           (fun sh ->
-             Seq.init (Intern.count sh.fintern) (fun i ->
-                 Intern.get sh.fintern i))
-           (Array.to_seq f.fshards))
-
-let lookup_key sp st =
-  match sp.canon with
-  | None -> State.key st
-  | Some c -> Canon.canon_key c st
-
-let fast_find f st =
-  let s = fast_shard_of ~hash:State.hash st in
-  Option.map
-    (fun lid -> fast_gid ~shard:s lid)
-    (Intern.find f.fshards.(s).fintern st)
-
-let lookup_rep sp st =
-  match sp.canon with None -> st | Some c -> fst (Canon.normalize c st)
-
-let is_reachable sp st =
-  match sp.repr with
-  | Det t -> find_entry t (lookup_key sp st) <> None
-  | Fst f -> fast_find f (lookup_rep sp st) <> None
-
-let schedule_to sp st =
-  match sp.repr with
-  | Det t -> (
-      match sp.canon with
-      | None -> path_to t (State.key st)
-      | Some c ->
-          Option.map
-            (fun steps -> Canon.realize_to c steps st)
-            (path_to t (Canon.canon_key c st)))
-  | Fst f -> (
-      match fast_find f (lookup_rep sp st) with
-      | None -> None
-      | Some gid -> (
-          let steps = fast_path f.fshards gid in
-          match sp.canon with
-          | None -> Some steps
-          | Some c -> Some (Canon.realize_to c steps st)))
-
-let bfs ?(max_states = Explore.default_cap) ?(restrict = fun _ -> true)
-    ?(symmetry = false) ?(por = false) ?(mode = `Deterministic) ~jobs sys
+let bfs ?max_states ?restrict ?symmetry ?por ?(mode = `Deterministic) ~jobs sys
     ~found =
-  let canon = Explore.active_canon ~symmetry sys in
-  let witness =
-    match mode with
-    | `Deterministic -> (
-        let outcome =
-          if por then por_core ~max_states ~jobs ~canon ~restrict ~found sys
-          else
-            search_core ~max_states ~jobs
-              ~ops:(plain_or_sym_ops canon sys ~restrict ~found)
-              (initial_node canon sys)
-        in
-        match outcome with
-        | Space _ -> None
-        | Witness (steps, st) -> Some (steps, st))
-    | `Fast -> (
-        let outcome =
-          if por then
-            fast_por_core ~max_states ~jobs ~canon ~restrict ~found sys
-          else
-            fast_search_core ~max_states ~jobs
-              ~ops:(plain_or_sym_ops canon sys ~restrict ~found)
-              (initial_node canon sys)
-        in
-        match outcome with
-        | FSpace _ -> None
-        | FWitness (steps, st) -> Some (steps, st))
-  in
-  match witness with
-  | None -> None
-  | Some (steps, st) -> (
-      match canon with
-      | None -> Some (steps, st)
-      | Some c -> Some (Canon.realize c steps))
+  Kernel.bfs ?max_states ?restrict ?symmetry ?por (policy mode jobs) sys ~found
 
-let find_deadlock ?max_states ?symmetry ?(por = false) ?(mode = `Deterministic)
-    ~jobs sys =
-  let dead st = State.is_deadlock sys st in
-  (* Witness-canonicalization contract, shared by [--por] and
-     [--fast]: verdict from the reduced/relaxed search, witness from a
-     plain sequential re-search (bit-identical to the deterministic
-     engines), falling back to the valid raw witness if the re-search
-     blows the budget. *)
-  let canonicalize raw =
-    match Explore.bfs ?max_states sys ~found:dead with
-    | Some w -> Some w
-    | None -> Some raw
-    | exception Explore.Too_large _ -> Some raw
-  in
-  let r =
-    match (mode, por) with
-    | `Deterministic, false -> bfs ?max_states ?symmetry ~jobs sys ~found:dead
-    | `Deterministic, true -> (
-        match bfs ?max_states ?symmetry ~por:true ~jobs sys ~found:dead with
-        | None -> None
-        | Some raw -> canonicalize raw)
-    | `Fast, _ -> (
-        match
-          bfs ?max_states ?symmetry ~por ~mode:`Fast ~jobs sys ~found:dead
-        with
-        | None -> None
-        | Some raw -> canonicalize raw)
-  in
-  if r <> None then begin
-    Obs.M.Counter.incr Obs.deadlock_witnesses;
-    Obs.T.instant "explore.deadlock_witness"
-  end;
-  r
+let find_deadlock ?max_states ?symmetry ?por ?(mode = `Deterministic) ~jobs sys =
+  Kernel.find_deadlock ?max_states ?symmetry ?por (policy mode jobs) sys
 
-let deadlock_free ?max_states ?symmetry ?(por = false) ?(mode = `Deterministic)
-    ~jobs sys =
-  let dead st = State.is_deadlock sys st in
-  match (mode, por) with
-  | `Deterministic, true ->
-      bfs ?max_states ?symmetry ~por:true ~jobs sys ~found:dead = None
-  | `Deterministic, false ->
-      Option.is_none (find_deadlock ?max_states ?symmetry ~jobs sys)
-  | `Fast, _ ->
-      (* Verdict only: a single relaxed search, no canonicalization. *)
-      bfs ?max_states ?symmetry ~por ~mode:`Fast ~jobs sys ~found:dead = None
+let deadlock_free ?max_states ?symmetry ?por ?(mode = `Deterministic) ~jobs sys =
+  Kernel.deadlock_free ?max_states ?symmetry ?por (policy mode jobs) sys
 
-(* --------------------- Lemma-1 extended space ---------------------- *)
-
-let lemma1_ops sys ~report =
-  {
-    key = Explore.Lemma1.key;
-    hash = (fun n -> Hashtbl.hash (Explore.Lemma1.key n));
-    equal = (fun a b -> String.equal (Explore.Lemma1.key a) (Explore.Lemma1.key b));
-    next = (fun n -> Explore.Lemma1.next sys n);
-    restrict = (fun _ -> true);
-    found =
-      (fun n ->
-        match Explore.Lemma1.cycle sys n with
-        | None -> false
-        | Some _ -> (
-            match report with
-            | `All_cyclic -> true
-            | `Complete_cyclic -> Explore.Lemma1.complete sys n));
-    moved = (fun ~parent:_ _ _ -> false);
-  }
-
-let lemma1_search ?(max_states = Explore.default_cap) ?(mode = `Deterministic)
-    ~jobs sys ~report =
-  let witness =
-    match mode with
-    | `Deterministic -> (
-        match
-          search_core ~max_states ~jobs ~ops:(lemma1_ops sys ~report)
-            (Explore.Lemma1.initial sys)
-        with
-        | Space _ -> None
-        | Witness (steps, n) -> Some (steps, n))
-    | `Fast -> (
-        match
-          fast_search_core ~max_states ~jobs ~ops:(lemma1_ops sys ~report)
-            (Explore.Lemma1.initial sys)
-        with
-        | FSpace _ -> None
-        | FWitness (steps, n) -> Some (steps, n))
-  in
-  match witness with
-  | None -> None
-  | Some (steps, n) ->
-      let cycle =
-        match Explore.Lemma1.cycle sys n with
-        | Some c -> c
-        | None -> assert false
-      in
-      Some { Explore.steps; cycle }
-
-(* Fast-mode safety verdicts canonicalize their counterexample with a
-   sequential re-search, mirroring [find_deadlock]. *)
-let canonical_cex ~seq raw =
-  match seq () with
-  | Error cex -> Error cex
-  | Ok () -> Error raw
-  | exception Explore.Too_large _ -> Error raw
-
-let safe_and_deadlock_free ?max_states ?(mode = `Deterministic) ~jobs sys =
-  match lemma1_search ?max_states ~mode ~jobs sys ~report:`All_cyclic with
+let lemma1 ?max_states ?(mode = `Deterministic) ~jobs sys ~report =
+  match Kernel.lemma1 ?max_states (policy mode jobs) sys ~report with
   | None -> Ok ()
-  | Some cex -> (
-      match mode with
-      | `Deterministic -> Error cex
-      | `Fast ->
-          canonical_cex
-            ~seq:(fun () -> Explore.safe_and_deadlock_free ?max_states sys)
-            cex)
+  | Some (steps, cycle) -> Error { Explore.steps; cycle }
 
-let safe ?max_states ?(mode = `Deterministic) ~jobs sys =
-  match lemma1_search ?max_states ~mode ~jobs sys ~report:`Complete_cyclic with
-  | None -> Ok ()
-  | Some cex -> (
-      match mode with
-      | `Deterministic -> Error cex
-      | `Fast ->
-          canonical_cex ~seq:(fun () -> Explore.safe ?max_states sys) cex)
+let safe_and_deadlock_free ?max_states ?mode ~jobs sys =
+  lemma1 ?max_states ?mode ~jobs sys ~report:`All_cyclic
+
+let safe ?max_states ?mode ~jobs sys =
+  lemma1 ?max_states ?mode ~jobs sys ~report:`Complete_cyclic

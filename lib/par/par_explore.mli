@@ -1,57 +1,52 @@
 open Ddlock_model
 open Ddlock_schedule
 
-(** Deterministic multicore state-space exploration.
+(** The exploration kernel ({!Ddlock_schedule.Kernel}) behind a [jobs]
+    and [mode] interface.
 
-    A level-synchronous parallel BFS over [jobs] worker domains: the
-    visited set is sharded by state-key hash (one lock-free hash table
-    per shard), successors crossing shards are handed over on per-shard
-    channels, and a deterministic reduction merges each level in the
-    exact sequential BFS insertion order.  Consequently every observable
-    — state counts, reachability, deadlock verdicts, the {e first}
-    witness and its schedule, and the exact [max_states] cap behaviour —
-    is bit-identical to {!Ddlock_schedule.Explore} for {e every} value
-    of [jobs], including [jobs = 1].
+    There is one search loop per frontier policy.  [`Deterministic]
+    runs the sequential FIFO policy at {e every} [jobs]: it is the very
+    search {!Ddlock_schedule.Explore} runs, so every observable — state
+    counts, reachability, deadlock verdicts, the {e first} witness and
+    its schedule, the exact [max_states] cap and the telemetry totals —
+    is identical to the sequential engine by construction.  [`Fast]
+    runs the work-stealing policy on [jobs] domains.
 
     All functions raise [Invalid_argument] when [jobs < 1] and
-    {!Ddlock_schedule.Explore.Too_large} on budget exhaustion, with the
-    same exact-cap semantics as the sequential engine. *)
+    {!Ddlock_schedule.Explore.Too_large} on budget exhaustion. *)
 
 (** Raises [Invalid_argument] when [jobs < 1]. *)
 val validate_jobs : int -> unit
 
 (** Exploration mode.
 
-    [`Deterministic] (the default) is the level-synchronous engine
-    described above: bit-identical to the sequential engine for every
-    [jobs], at the cost of a per-level barrier and a sequential
-    rank-ordered reduction.
+    [`Deterministic] (the default) is the FIFO policy: sequential BFS
+    over interned states, whatever [jobs] says.
 
-    [`Fast] is the relaxed work-stealing engine: per-domain deques with
-    batch stealing, a hash-sharded visited set of intern tables (no
-    string keys — {!Ddlock_schedule.State.hash} + structural equality,
-    dense int ids, packed parent/via arenas), no barrier, and an
-    early-exit broadcast on the first witness.  Guarantees kept:
+    [`Fast] is the work-stealing policy: [jobs] worker domains with
+    per-domain deques and batch stealing, a visited set of 64
+    mutex-guarded intern-table shards ({!Ddlock_schedule.State.hash} +
+    structural equality, dense int ids, packed parent/via arrays), no
+    barrier, and an early-exit broadcast on the first witness.
+    Guarantees kept:
     {ul
-    {- {e verdicts} — the explored state {e set} equals the
-       deterministic one (same dedup relation), so emptiness answers
-       ([deadlock_free], [safe], budget-free [bfs = None]) coincide;}
+    {- {e verdicts} — the explored state {e set} equals the FIFO one
+       (same dedup relation), so emptiness answers ([deadlock_free],
+       [safe], budget-free [bfs = None]) coincide;}
     {- {e witness validity} — any returned schedule is a real path
        from the initial state to a state satisfying the goal;}
     {- {e cap soundness} — [Explore.Too_large n] is raised {e iff} the
        reachable set (truncated at the stop point) exceeds
        [max_states]; the carried [n >= max_states] may overshoot by
-       the work in flight (at most one wave), never undershoot.}}
+       the work in flight, never undershoot.}}
     Relaxed: discovery order, {e which} witness is found, and the
     [par.steals]/[par.intern_hits]/[par.arena_reuse] counters (racy by
-    nature, not jobs-invariant — unlike every deterministic-mode
-    counter).  [find_deadlock]/[safe]/[safe_and_deadlock_free]
-    re-canonicalize positive verdicts with a plain sequential
-    re-search — exactly the [--por] contract — so their output stays
-    byte-identical to the deterministic engines on every workload whose
-    re-search fits the budget.  Composes with [?symmetry], [?por] and
-    {!Ddlock_obs.Cancel} deadlines (worker 0 runs in the calling domain
-    and polls). *)
+    nature).  [find_deadlock]/[safe]/[safe_and_deadlock_free]
+    re-canonicalize positive verdicts with a plain FIFO re-search —
+    exactly the [--por] contract — so their output stays byte-identical
+    to [`Deterministic] on every workload whose re-search fits the
+    budget.  Composes with [?symmetry], [?por] and {!Ddlock_obs.Cancel}
+    deadlines (worker 0 runs in the calling domain and polls). *)
 type mode = [ `Deterministic | `Fast ]
 
 (** {1 Full state space} *)
@@ -59,18 +54,12 @@ type mode = [ `Deterministic | `Fast ]
 type space
 
 (** [explore ?max_states ?symmetry ~jobs sys] — the reachable state
-    space, with parent pointers, computed on [jobs] domains.  Same
-    states, counts and shortest schedules as {!Explore.explore}, for the
-    same [symmetry] flag.  With [~symmetry:true] the canonical key
-    replaces the raw state key in the dedup shard map (the stored nodes
-    are orbit representatives, see {!Ddlock_schedule.Canon}), and orbit
-    members pruned by canonical dedup never count against
-    [max_states].
-
-    With [~por:true] the space is the persistent/sleep-set reduced
-    space ({!Ddlock_schedule.Indep}): bit-identical to
-    [Explore.explore ~por:true] — same states, ranks and schedules —
-    for every [jobs], and composes with [~symmetry:true].
+    space, with parent pointers.  Same states, counts and shortest
+    schedules as {!Explore.explore}, for the same [symmetry] and [por]
+    flags (the stored nodes are orbit representatives under
+    [~symmetry:true], see {!Ddlock_schedule.Canon}; the
+    persistent/sleep-set reduced space under [~por:true], see
+    {!Ddlock_schedule.Indep}).
 
     With [~mode:`Fast] the space holds the same state {e set} (for
     [~por:false]; a valid reduced set for [~por:true]) but no BFS
@@ -89,9 +78,9 @@ val system : space -> System.t
 val jobs : space -> int
 val state_count : space -> int
 
-(** States in discovery order — deterministic spaces: BFS rank order;
-    fast spaces: shard-major order (deterministic for a given run
-    only). *)
+(** States in discovery order — deterministic spaces: BFS insertion
+    order; fast spaces: shard-major order (deterministic for a given
+    run only). *)
 val states : space -> State.t Seq.t
 
 val is_reachable : space -> State.t -> bool
@@ -105,13 +94,14 @@ val schedule_to : space -> State.t -> Step.t list option
 (** [bfs ?max_states ?restrict ?symmetry ~jobs sys ~found] — first state
     (in BFS insertion order) satisfying [found], with the schedule
     reaching it; identical to {!Explore.bfs} output for every [jobs] and
-    the same [symmetry] flag.  [found] and [restrict] are evaluated
-    concurrently on worker domains and must be pure; with
+    the same [symmetry] flag.  Under [~mode:`Fast], [found] and
+    [restrict] are evaluated concurrently on worker domains and must be
+    pure; with
     [~symmetry:true] they see orbit representatives and must be
     invariant under identical-transaction permutations.
 
     With [~por:true] the search runs over the reduced space and is
-    bit-identical to [Explore.bfs ~por:true]; sound only for
+    identical to [Explore.bfs ~por:true]; sound only for
     predicates implied by deadlock (see {!Explore.bfs}).
 
     With [~mode:`Fast] the returned witness is the first one {e some}
@@ -153,10 +143,9 @@ val deadlock_free :
 
 (** {1 Lemma-1 searches (safety)}
 
-    Parallel equivalents of {!Explore.safe_and_deadlock_free} and
-    {!Explore.safe}, over the same extended state space
-    ({!Explore.Lemma1}); counterexamples are identical to the sequential
-    ones. *)
+    {!Explore.safe_and_deadlock_free} and {!Explore.safe} under a
+    [mode], over the same extended (prefix vector + D-arc) space;
+    counterexamples are identical to the sequential ones. *)
 
 val safe_and_deadlock_free :
   ?max_states:int ->

@@ -65,7 +65,7 @@ val orbit_size : t -> int
 val normalize : t -> State.t -> State.t * int array
 
 (** [canon_key c st] is [State.key (fst (normalize c st))] — equal on two
-    states iff they lie in the same orbit. *)
+    states iff they lie in the same orbit.  For printing and tests. *)
 val canon_key : t -> State.t -> string
 
 (** [apply_perm π st] permutes the prefix vector: slot [π.(i)] of the

@@ -1,430 +1,44 @@
 open Ddlock_graph
-open Ddlock_model
 
-exception Too_large of int
+(* Every search here is the exploration kernel ({!Kernel}) under its
+   FIFO policy. *)
 
-(* Telemetry: both exploration engines increment the same counters at
-   state-insertion time, so totals are invariant under [jobs] (the
-   parallel reduction replays the sequential insertion sequence).  All
-   recording is a no-op unless Ddlock_obs.Control is switched on. *)
-module Obs = struct
-  module T = Ddlock_obs.Trace
+exception Too_large = Kernel.Too_large
 
-  let states_visited = Ddlock_obs.Metrics.Counter.make "explore.states_visited"
+let default_cap = Kernel.default_cap
 
-  let deadlock_witnesses =
-    Ddlock_obs.Metrics.Counter.make "explore.deadlock_witnesses"
+type space = Kernel.space
 
-  let searches = Ddlock_obs.Metrics.Counter.make "explore.searches"
-  let visit () = Ddlock_obs.Metrics.Counter.incr states_visited
+let active_canon = Kernel.active_canon
+let explore ?max_states ?symmetry ?por sys =
+  Kernel.explore ?max_states ?symmetry ?por Fifo sys
 
-  (* Symmetry-reduction telemetry.  [canon_hits] counts inserted states
-     whose generating successor differed from its orbit representative;
-     like [states_visited] it is bumped at insertion time, so totals are
-     jobs-invariant.  [orbit_gauge] records the largest automorphism
-     group order seen by a symmetric search. *)
-  let canon_hits = Ddlock_obs.Metrics.Counter.make "canon.hits"
-  let orbit_gauge = Ddlock_obs.Metrics.Gauge.make "canon.orbit_size"
-  let hit moved = if moved then Ddlock_obs.Metrics.Counter.incr canon_hits
+let system = Kernel.system
+let state_count = Kernel.state_count
+let states = Kernel.states
+let is_reachable = Kernel.is_reachable
+let schedule_to = Kernel.schedule_to
 
-  (* Partial-order-reduction telemetry, bumped once per work-item
-     expansion.  The work-item multiset is invariant under [jobs] (the
-     parallel engine replays the sequential covering-rule decisions in
-     candidate order), so both totals are jobs-invariant.
-     [por_pruned] sums the enabled transitions not expanded;
-     [por_persistent_size] sums the persistent-set sizes. *)
-  let por_pruned = Ddlock_obs.Metrics.Counter.make "por.pruned"
+let bfs ?max_states ?restrict ?symmetry ?por sys ~found =
+  Kernel.bfs ?max_states ?restrict ?symmetry ?por Fifo sys ~found
 
-  let por_persistent_size =
-    Ddlock_obs.Metrics.Counter.make "por.persistent_size"
+let find_deadlock ?max_states ?symmetry ?por sys =
+  Kernel.find_deadlock ?max_states ?symmetry ?por Fifo sys
 
-  let por_expand ~enabled ~persistent ~selected =
-    Ddlock_obs.Metrics.Counter.add por_pruned (enabled - selected);
-    Ddlock_obs.Metrics.Counter.add por_persistent_size persistent
-end
-
-type entry = { state : State.t; parent : string option; via : Step.t option }
-
-type space = {
-  sys : System.t;
-  table : (string, entry) Hashtbl.t;
-  canon : Canon.t option;  (* Some ⇒ the table holds orbit representatives *)
-}
-
-(* The canonicalizer a symmetric search should use: [None] when symmetry
-   is off or the automorphism group is trivial (then canonicalization is
-   the identity and the plain engine is already optimal). *)
-let active_canon ~symmetry sys =
-  if not symmetry then None
-  else
-    let c = Canon.detect sys in
-    if Canon.nontrivial c then begin
-      Ddlock_obs.Metrics.Gauge.set_max Obs.orbit_gauge (Canon.orbit_size c);
-      Some c
-    end
-    else None
-
-(* Successor normalization: identity when no canonicalizer is active;
-   otherwise the orbit representative plus whether the raw successor was
-   moved (feeds the [canon.hits] counter at insertion). *)
-let normalizer = function
-  | None -> fun st -> (st, false)
-  | Some c ->
-      fun st ->
-        let rep, _ = Canon.normalize c st in
-        (rep, not (State.equal st rep))
-
-let default_cap = 2_000_000
-
-(* Exact cap: a search may hold at most [max_states] states; discovering
-   one more raises [Too_large] with the number already held.  The check
-   covers the initial state too, so the table never exceeds the budget.
-   The cancellation poll rides the same path: an installed deadline
-   bounds the search in time exactly as [max_states] bounds it in
-   space (one domain-local read per insertion when no poll is set). *)
-let check_room count max_states =
-  Ddlock_obs.Cancel.poll ();
-  if count >= max_states then raise (Too_large count)
-
-let system sp = sp.sys
-let state_count sp = Hashtbl.length sp.table
-let states sp = Seq.map (fun (_, e) -> e.state) (Hashtbl.to_seq sp.table)
-
-let lookup_key sp st =
-  match sp.canon with
-  | None -> State.key st
-  | Some c -> Canon.canon_key c st
-
-let is_reachable sp st = Hashtbl.mem sp.table (lookup_key sp st)
-
-let path_to sp key =
-  let rec go key acc =
-    match Hashtbl.find_opt sp.table key with
-    | None -> None
-    | Some { parent = None; _ } -> Some acc
-    | Some { parent = Some p; via = Some s; _ } -> go p (s :: acc)
-    | Some { parent = Some _; via = None; _ } -> assert false
-  in
-  go key []
-
-let schedule_to sp st =
-  match sp.canon with
-  | None -> path_to sp (State.key st)
-  | Some c ->
-      (* The stored path reaches the representative of [st]'s orbit;
-         replay it through the permutations to reach [st] itself. *)
-      Option.map
-        (fun steps -> Canon.realize_to c steps st)
-        (path_to sp (Canon.canon_key c st))
-
-(* Persistent/sleep-set selective search (partial-order reduction).
-   Work items are (state, key, sleep set); [Indep.expand] selects the
-   persistent steps not in the sleep set and computes each successor's
-   inherited sleep set.  Re-arriving at a stored state with a
-   non-covering sleep set shrinks the stored set to the intersection
-   and re-expands the state (Godefroid's covering rule), so sleeping
-   never suppresses the only path into a deadlock.  Stored sleep sets
-   only shrink, which bounds re-expansions; the table is keyed by
-   state alone, so the reduced search never holds more states than the
-   plain engine.  [found] must be implied by deadlock (evaluated at
-   first insertion only): the persistent-set construction preserves
-   reachability of deadlock states, not of arbitrary targets. *)
-let por_search ?(max_states = default_cap) ?(restrict = fun _ -> true)
-    ?(symmetry = false) sys ~found =
-  Ddlock_obs.Metrics.Counter.incr Obs.searches;
-  Obs.T.span "explore.por" @@ fun () ->
-  let canon = active_canon ~symmetry sys in
-  let table = Hashtbl.create 1024 in
-  let sleeps : (string, Step.t list) Hashtbl.t = Hashtbl.create 1024 in
-  let q = Queue.create () in
-  let init, _ = normalizer canon (State.initial sys) in
-  check_room 0 max_states;
-  let ikey = State.key init in
-  Hashtbl.replace table ikey { state = init; parent = None; via = None };
-  Obs.visit ();
-  Hashtbl.replace sleeps ikey [];
-  let sp = { sys; table; canon } in
-  let finish (steps, st) =
-    match canon with None -> (steps, st) | Some c -> Canon.realize c steps
-  in
-  let result = ref None in
-  if found init then result := Some (finish ([], init))
-  else begin
-    Queue.push (init, ikey, []) q;
-    try
-      while not (Queue.is_empty q) do
-        let st, k, sleep = Queue.pop q in
-        let exp = Indep.expand ?canon sys st ~sleep in
-        Obs.por_expand ~enabled:exp.Indep.enabled_count
-          ~persistent:exp.Indep.persistent_count
-          ~selected:(List.length exp.Indep.succs);
-        List.iter
-          (fun { Indep.step; succ; moved; sleep = child } ->
-            if restrict succ then begin
-              let k' = State.key succ in
-              match Hashtbl.find_opt sleeps k' with
-              | None ->
-                  check_room (Hashtbl.length table) max_states;
-                  Hashtbl.replace table k'
-                    { state = succ; parent = Some k; via = Some step };
-                  Obs.visit ();
-                  Obs.hit moved;
-                  Hashtbl.replace sleeps k' child;
-                  if found succ then begin
-                    result := Some (finish (Option.get (path_to sp k'), succ));
-                    raise Exit
-                  end;
-                  Queue.push (succ, k', child) q
-              | Some stored -> (
-                  match Indep.sleep_covered ~stored ~incoming:child with
-                  | `Covered -> ()
-                  | `Shrink z ->
-                      Hashtbl.replace sleeps k' z;
-                      Queue.push ((Hashtbl.find table k').state, k', z) q)
-            end)
-          exp.Indep.succs
-      done
-    with Exit -> ()
-  end;
-  (!result, sp)
-
-let explore ?(max_states = default_cap) ?(symmetry = false) ?(por = false) sys =
-  if por then
-    snd (por_search ~max_states ~symmetry sys ~found:(fun _ -> false))
-  else begin
-    Ddlock_obs.Metrics.Counter.incr Obs.searches;
-    Obs.T.span "explore.explore" @@ fun () ->
-    let canon = active_canon ~symmetry sys in
-    let norm = normalizer canon in
-    let table = Hashtbl.create 1024 in
-    let q = Queue.create () in
-    let init, _ = norm (State.initial sys) in
-    check_room 0 max_states;
-    Hashtbl.replace table (State.key init)
-      { state = init; parent = None; via = None };
-    Obs.visit ();
-    Queue.push init q;
-    while not (Queue.is_empty q) do
-      let st = Queue.pop q in
-      let k = State.key st in
-      List.iter
-        (fun step ->
-          (* Canonical dedup happens before the cap check: a successor that
-             merely lands in an already-stored orbit never counts against
-             [max_states]. *)
-          let st', moved = norm (State.apply st step) in
-          let k' = State.key st' in
-          if not (Hashtbl.mem table k') then begin
-            check_room (Hashtbl.length table) max_states;
-            Hashtbl.replace table k'
-              { state = st'; parent = Some k; via = Some step };
-            Obs.visit ();
-            Obs.hit moved;
-            Queue.push st' q
-          end)
-        (State.enabled sys st)
-    done;
-    { sys; table; canon }
-  end
-
-(* Breadth-first search with a found predicate, shared by the deadlock and
-   targeted searches. *)
-let bfs ?(max_states = default_cap) ?(restrict = fun _ -> true)
-    ?(symmetry = false) ?(por = false) sys ~found =
-  if por then fst (por_search ~max_states ~restrict ~symmetry sys ~found)
-  else begin
-  Ddlock_obs.Metrics.Counter.incr Obs.searches;
-  Obs.T.span "explore.bfs" @@ fun () ->
-  let canon = active_canon ~symmetry sys in
-  let norm = normalizer canon in
-  (* With a canonicalizer active, [found] and [restrict] are evaluated on
-     orbit representatives; both must be invariant under the group (the
-     deadlock and reduction-cycle predicates are).  The canonical witness
-     path is translated back to the original system on the way out. *)
-  let finish (steps, st) =
-    match canon with None -> (steps, st) | Some c -> Canon.realize c steps
-  in
-  let table = Hashtbl.create 1024 in
-  let q = Queue.create () in
-  let init, _ = norm (State.initial sys) in
-  check_room 0 max_states;
-  Hashtbl.replace table (State.key init) { state = init; parent = None; via = None };
-  Obs.visit ();
-  let sp = { sys; table; canon } in
-  if found init then Some (finish ([], init))
-  else begin
-    Queue.push init q;
-    let result = ref None in
-    (try
-       while not (Queue.is_empty q) do
-         let st = Queue.pop q in
-         let k = State.key st in
-         List.iter
-           (fun step ->
-             let st', moved = norm (State.apply st step) in
-             if restrict st' then begin
-               let k' = State.key st' in
-               if not (Hashtbl.mem table k') then begin
-                 check_room (Hashtbl.length table) max_states;
-                 Hashtbl.replace table k'
-                   { state = st'; parent = Some k; via = Some step };
-                 Obs.visit ();
-                 Obs.hit moved;
-                 if found st' then begin
-                   result := Some (finish (Option.get (path_to sp k'), st'));
-                   raise Exit
-                 end;
-                 Queue.push st' q
-               end
-             end)
-           (State.enabled sys st)
-       done
-     with Exit -> ());
-    !result
-  end
-  end
-
-let find_deadlock ?max_states ?symmetry ?(por = false) sys =
-  let dead st = State.is_deadlock sys st in
-  let r =
-    if por then
-      (* Verdict from the reduced search; witness from a plain
-         non-symmetric re-search so [--por] output is byte-identical to
-         plain [analyze] under every flag combination.  When the plain
-         re-search blows the budget the reduced witness — valid, just
-         not BFS-minimal — is returned instead. *)
-      match bfs ?max_states ?symmetry ~por:true sys ~found:dead with
-      | None -> None
-      | Some raw -> (
-          match bfs ?max_states sys ~found:dead with
-          | Some w -> Some w
-          | None -> Some raw
-          | exception Too_large _ -> Some raw)
-    else bfs ?max_states ?symmetry sys ~found:dead
-  in
-  if r <> None then begin
-    Ddlock_obs.Metrics.Counter.incr Obs.deadlock_witnesses;
-    Obs.T.instant "explore.deadlock_witness"
-  end;
-  r
-
-let deadlock_free ?max_states ?symmetry ?(por = false) sys =
-  if por then
-    bfs ?max_states ?symmetry ~por:true sys
-      ~found:(fun st -> State.is_deadlock sys st)
-    = None
-  else find_deadlock ?max_states ?symmetry sys = None
+let deadlock_free ?max_states ?symmetry ?por sys =
+  Kernel.deadlock_free ?max_states ?symmetry ?por Fifo sys
 
 type counterexample = { steps : Step.t list; cycle : int list }
 
-(* Extended state: prefix vector plus the accumulated D-arcs (a monotone
-   function of the executed lock steps and their order). *)
-module Edge_set = Set.Make (struct
-  type t = int * int
-
-  let compare = compare
-end)
-
-let edges_key es =
-  String.concat ";"
-    (List.map (fun (a, b) -> Printf.sprintf "%d-%d" a b) (Edge_set.elements es))
-
-let d_arcs_of_step sys st (step : Step.t) =
-  let tx = System.txn sys step.txn in
-  let nd = Transaction.node tx step.node in
-  match nd.Node.op with
-  | Node.Unlock -> []
-  | Node.Lock ->
-      Dgraph.arcs_added_by_lock sys
-        ~locked_before:(fun k ->
-          let tk = System.txn sys k in
-          match Transaction.lock_node tk nd.entity with
-          | None -> false
-          | Some l -> Bitset.mem st.(k) l)
-        step.txn nd.entity
-
-let edge_graph n es = Digraph.create n (Edge_set.elements es)
-
-(* The Lemma-1 extended state: a prefix vector plus the accumulated
-   D-arcs.  Exposed so the parallel engine explores exactly the same
-   graph as [lemma1_search]. *)
-module Lemma1 = struct
-  type node = { st : State.t; es : Edge_set.t }
-
-  let initial sys = { st = State.initial sys; es = Edge_set.empty }
-  let key n = State.key n.st ^ "#" ^ edges_key n.es
-  let state n = n.st
-
-  let next sys n =
-    List.map
-      (fun step ->
-        let new_arcs = d_arcs_of_step sys n.st step in
-        let es' =
-          List.fold_left (fun acc e -> Edge_set.add e acc) n.es new_arcs
-        in
-        (step, { st = State.apply n.st step; es = es' }))
-      (State.enabled sys n.st)
-
-  let cycle sys n = Topo.find_cycle (edge_graph (System.size sys) n.es)
-  let complete sys n = State.all_finished sys n.st
-end
-
-let lemma1_search ?(max_states = default_cap) sys ~report =
-  (* report: `All_cyclic  -> stop on the first cyclic-D extended state
-             `Complete_cyclic -> stop on cyclic D at a complete state *)
-  Ddlock_obs.Metrics.Counter.incr Obs.searches;
-  Obs.T.span "explore.lemma1_search" @@ fun () ->
-  let table : (string, unit) Hashtbl.t = Hashtbl.create 1024 in
-  let q = Queue.create () in
-  let init = Lemma1.initial sys in
-  check_room 0 max_states;
-  Hashtbl.replace table (Lemma1.key init) ();
-  Obs.visit ();
-  Queue.push (init, []) q;
-  let result = ref None in
-  let check node rev_steps =
-    match Lemma1.cycle sys node with
-    | Some cycle ->
-        let fire =
-          match report with
-          | `All_cyclic -> true
-          | `Complete_cyclic -> Lemma1.complete sys node
-        in
-        if fire then begin
-          result := Some { steps = List.rev rev_steps; cycle };
-          true
-        end
-        else false
-    | None -> false
-  in
-  (try
-     while not (Queue.is_empty q) do
-       let node, rev_steps = Queue.pop q in
-       List.iter
-         (fun (step, node') ->
-           let k' = Lemma1.key node' in
-           if not (Hashtbl.mem table k') then begin
-             check_room (Hashtbl.length table) max_states;
-             let rev' = step :: rev_steps in
-             Hashtbl.replace table k' ();
-             Obs.visit ();
-             if check node' rev' then raise Exit;
-             Queue.push (node', rev') q
-           end)
-         (Lemma1.next sys node)
-     done
-   with Exit -> ());
-  !result
+let lemma1 ?max_states sys ~report =
+  match Kernel.lemma1 ?max_states Fifo sys ~report with
+  | None -> Ok ()
+  | Some (steps, cycle) -> Error { steps; cycle }
 
 let safe_and_deadlock_free ?max_states sys =
-  match lemma1_search ?max_states sys ~report:`All_cyclic with
-  | None -> Ok ()
-  | Some cex -> Error cex
+  lemma1 ?max_states sys ~report:`All_cyclic
 
-let safe ?max_states sys =
-  match lemma1_search ?max_states sys ~report:`Complete_cyclic with
-  | None -> Ok ()
-  | Some cex -> Error cex
+let safe ?max_states sys = lemma1 ?max_states sys ~report:`Complete_cyclic
 
 let has_schedule sys target =
   let sub st = Array.for_all2 (fun a b -> Bitset.subset a b) st target in

@@ -6,7 +6,10 @@ open Ddlock_model
     paper's polynomial algorithms are validated.  A state is a vector of
     transaction prefixes; transitions execute enabled steps
     ({!State.enabled}).  Every reachable state corresponds to at least one
-    partial schedule and vice versa. *)
+    partial schedule and vice versa.
+
+    Every search here is the exploration kernel ({!Kernel}) under its
+    FIFO policy: sequential BFS over interned states. *)
 
 exception Too_large of int
 (** Raised when exploration would exceed the [max_states] cap.  The cap
@@ -52,8 +55,8 @@ val explore :
 val system : space -> System.t
 val state_count : space -> int
 
-(** Stored states: all reachable states, or one representative per
-    reachable orbit for a [~symmetry:true] space. *)
+(** Stored states, in BFS insertion order: all reachable states, or one
+    representative per reachable orbit for a [~symmetry:true] space. *)
 val states : space -> State.t Seq.t
 
 (** Membership (of the state's orbit, for a symmetric space). *)
@@ -66,8 +69,7 @@ val is_reachable : space -> State.t -> bool
 val schedule_to : space -> State.t -> Step.t list option
 
 (** The canonicalizer a symmetric search uses: [None] when [symmetry] is
-    false or the automorphism group of [sys] is trivial.  Exposed for the
-    parallel engine and the CLI no-op warning. *)
+    false or the automorphism group of [sys] is trivial. *)
 val active_canon : symmetry:bool -> System.t -> Canon.t option
 
 (** {1 Goal-directed search} *)
@@ -136,25 +138,6 @@ val safe_and_deadlock_free :
 (** Safety alone: [Error cex] when some complete schedule is not
     serializable. *)
 val safe : ?max_states:int -> System.t -> (unit, counterexample) result
-
-(** The Lemma-1 extended state (prefix vector + accumulated D-arcs),
-    exposed so the parallel engine ({!Ddlock_par.Par_explore}) explores
-    exactly the graph of the sequential Lemma-1 searches. *)
-module Lemma1 : sig
-  type node
-
-  val initial : System.t -> node
-  val key : node -> string
-  val state : node -> State.t
-
-  (** Successors in the canonical ({!State.enabled}) order. *)
-  val next : System.t -> node -> (Step.t * node) list
-
-  (** A cycle of the accumulated serialization digraph, if any. *)
-  val cycle : System.t -> node -> int list option
-
-  val complete : System.t -> node -> bool
-end
 
 (** {1 Schedules} *)
 

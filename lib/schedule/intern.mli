@@ -3,8 +3,9 @@
     [intern] maps a value to a stable id (its insertion index); equal
     values get equal ids, so equality downstream is integer equality
     and visited sets can store ints instead of keys.  Backing storage
-    is a growable arena with amortized doubling.  Not thread-safe; the
-    parallel engine shards tables behind per-shard mutexes. *)
+    is a growable arena with amortized doubling, indexed by an
+    open-addressing hash table.  Not thread-safe; the work-stealing
+    policy of {!Kernel} shards tables behind per-shard mutexes. *)
 
 type 'a t
 

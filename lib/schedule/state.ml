@@ -80,9 +80,13 @@ let enabled sys st =
   done;
   !steps
 
+(* Only the stepping transaction's row is copied; the others are shared
+   with [st], which is safe because no state is mutated once built. *)
 let apply st (step : Step.t) =
-  let st' = copy st in
-  Bitset.set st'.(step.Step.txn) step.Step.node;
+  let st' = Array.copy st in
+  let row = Bitset.copy st.(step.Step.txn) in
+  Bitset.set row step.Step.node;
+  st'.(step.Step.txn) <- row;
   st'
 
 let is_deadlock sys st =

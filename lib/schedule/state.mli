@@ -11,12 +11,13 @@ val final : System.t -> t
 val copy : t -> t
 val equal : t -> t -> bool
 
-(** Stable structural key for hashtables. *)
+(** Stable structural key, injective on valid states: for printing
+    and tests only.  The engines dedup with {!hash} and {!equal}. *)
 val key : t -> string
 
 (** Structural hash, compatible with {!equal}: equal states hash
-    equally.  Far cheaper than hashing {!key} — no string is built —
-    which is what the relaxed parallel engine's intern tables rely on. *)
+    equally.  No string is built; the exploration kernel's intern
+    tables ({!Intern}) rely on it. *)
 val hash : t -> int
 
 (** [is_valid sys st] iff every component is a prefix of its transaction. *)
@@ -39,7 +40,9 @@ val all_finished : System.t -> t -> bool
     other transaction currently holds [x]. *)
 val enabled : System.t -> t -> Step.t list
 
-(** [apply st step] — fresh state with the step's node added. *)
+(** [apply st step] — fresh state with the step's node added.  Rows
+    other than the step's transaction are shared with [st]: states are
+    immutable by convention once built. *)
 val apply : t -> Step.t -> t
 
 (** A deadlock state (§3): some transaction is unfinished, and every

@@ -19,15 +19,11 @@
       in-flight requests finish and reply, queued jobs run, worker
       domains join, the socket file is unlinked.
 
-    Deadlines bound the sequential engines (the worker installs the
-    deadline poll in its own domain).  With [jobs > 1] the
-    deterministic parallel engine's extra domains do not inherit the
-    poll — but deadlined multi-domain requests default to the relaxed
-    work-stealing engine ([fast_under_pressure]), whose coordinating
-    worker runs in the polling domain and broadcasts cancellation to
-    the others, so deadlines stay effective.  Configure [jobs = 1]
-    (the default) when deadlines must be strict {e and}
-    [fast_under_pressure] is off. *)
+    Deadlines bound every search.  The sequential FIFO search runs in
+    the worker's own domain, where the deadline poll is installed;
+    deadlined multi-domain requests default to the work-stealing policy
+    ([fast_under_pressure]), whose coordinating worker runs in the
+    polling domain and broadcasts cancellation to the others. *)
 
 type config = {
   socket_path : string;

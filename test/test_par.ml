@@ -1,5 +1,5 @@
-(* Differential battery for the deterministic parallel engine: every
-   observable of Ddlock_par.Par_explore must be bit-identical to the
+(* Differential battery for Ddlock_par.Par_explore in its default
+   [`Deterministic] mode: every observable must be bit-identical to the
    sequential Explore / Prefix_search ground truth, for every jobs. *)
 
 open Ddlock_model
@@ -81,7 +81,10 @@ let test_states_in_rank_order () =
   (* Explore.bfs applies [found] to every discovered state including the
      initial one, in insertion order. *)
   check int_t "same length" (List.length seq_keys) (List.length par_keys);
-  check bool_t "same order" true (seq_keys = par_keys)
+  check bool_t "same order" true (seq_keys = par_keys);
+  (* The sequential space enumerates in the same insertion order. *)
+  check bool_t "sequential states in insertion order" true
+    (seq_keys = List.of_seq (Seq.map State.key (Explore.states (Explore.explore sys))))
 
 let test_schedules_identical () =
   let sys = fig2ish () in
@@ -161,6 +164,8 @@ let test_prefix_search_jobs () =
   let sys = fig2ish () in
   check bool_t "deadlock_free agrees" true
     (Prefix_search.deadlock_free ~jobs:3 sys = Prefix_search.deadlock_free sys);
+  check bool_t "same witness for every jobs" true
+    (Prefix_search.find sys = Prefix_search.find ~jobs:3 sys);
   (match Prefix_search.find ~jobs:3 sys with
   | None -> Alcotest.fail "fig2ish must have a deadlock prefix"
   | Some w ->
