@@ -235,8 +235,11 @@ let () =
                       v)
                   vs;
                 List.iter
-                  (fun (w, _, h) ->
-                    Format.printf "  stuck: T%d waits on T%d@." (w + 1) (h + 1))
+                  (fun (w, e, h) ->
+                    Format.printf "  stuck: T%d waits for %s held by T%d@."
+                      (w + 1)
+                      (Model.Db.entity_name (System.db ssys) e)
+                      (h + 1))
                   r.Sim.Recovery.stuck_waits;
                 print_string
                   (Model.Parser.to_source (System.db ssys)

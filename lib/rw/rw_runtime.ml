@@ -1,8 +1,6 @@
-open Ddlock_graph
 open Ddlock_model
-module Pqueue = Ddlock_sim.Pqueue
-module Rcfg = Ddlock_sim.Runtime
-module Faults = Ddlock_sim.Faults
+module Engine = Ddlock_sim.Engine
+module Runtime = Ddlock_sim.Runtime
 
 type outcome =
   | Finished of { makespan : float }
@@ -10,172 +8,36 @@ type outcome =
 
 type run = { outcome : outcome; trace : Rw_system.step list }
 
-type event = Arrive of Rw_system.step | Complete of Rw_system.step
+let shape sys =
+  let txns = Rw_system.txns sys in
+  let nodes f =
+    Array.map
+      (fun t -> Array.init (Rw_txn.node_count t) (fun v -> f (Rw_txn.node t v)))
+      txns
+  in
+  {
+    Engine.db = Rw_system.db sys;
+    entity = nodes (fun nd -> nd.Rw_txn.entity);
+    access =
+      nodes (fun nd ->
+          match nd.Rw_txn.op with
+          | Rw_txn.Lock Rw_txn.Read -> Engine.Shared
+          | Rw_txn.Lock Rw_txn.Write -> Engine.Exclusive
+          | Rw_txn.Unlock -> Engine.Release);
+    minimal_remaining = (fun i p -> Rw_txn.minimal_remaining txns.(i) p);
+  }
 
-type lock_state = {
-  mutable holders : int list; (* readers, or a single writer *)
-  mutable write_mode : bool;
-  waiters : Rw_system.step Queue.t;
-}
+let run ?(config = Runtime.default_config) ?faults rng sys =
+  let r = Engine.run Engine.Wait ?faults config rng (shape sys) in
+  {
+    outcome =
+      (if r.Engine.commits = Rw_system.size sys then
+         Finished { makespan = r.Engine.makespan }
+       else Deadlock { time = r.Engine.time; waits_for = r.Engine.waits });
+    trace = List.map (fun (e : Engine.entry) -> e.step) r.Engine.trace;
+  }
 
-let run ?(config = Rcfg.default_config) ?(faults = Faults.none) rng sys =
-  let n = Rw_system.size sys in
-  let db = Rw_system.db sys in
-  let ne = Db.entity_count db in
-  let inj = Faults.injector faults in
-  let locks =
-    Array.init ne (fun _ ->
-        { holders = []; write_mode = false; waiters = Queue.create () })
-  in
-  let executed = Array.init n (fun i -> Rw_txn.empty_prefix (Rw_system.txn sys i)) in
-  let started = Array.init n (fun i -> Rw_txn.empty_prefix (Rw_system.txn sys i)) in
-  (* Requests already processed by a lock manager, for dedup of
-     duplicated deliveries. *)
-  let arrived = Array.init n (fun i -> Rw_txn.empty_prefix (Rw_system.txn sys i)) in
-  let last_site = Array.make n (-1) in
-  let events : event Pqueue.t = Pqueue.create () in
-  let trace = ref [] in
-  let now = ref 0.0 in
-  let duration i e =
-    let d =
-      config.Rcfg.min_duration
-      +. Random.State.float rng
-           (max 1e-9 (config.Rcfg.max_duration -. config.Rcfg.min_duration))
-    in
-    let site = Db.site_of db e in
-    let extra =
-      if last_site.(i) >= 0 && last_site.(i) <> site then
-        config.Rcfg.site_latency
-      else 0.0
-    in
-    last_site.(i) <- site;
-    d +. extra
-  in
-  let node_of (s : Rw_system.step) = Rw_txn.node (Rw_system.txn sys s.txn) s.node in
-  let mode_of_step s =
-    match (node_of s).Rw_txn.op with
-    | Rw_txn.Lock m -> m
-    | Rw_txn.Unlock -> assert false
-  in
-  let rec start (s : Rw_system.step) =
-    let nd = node_of s in
-    Bitset.set started.(s.txn) s.node;
-    let site = Db.site_of db nd.Rw_txn.entity in
-    match nd.Rw_txn.op with
-    | Rw_txn.Unlock ->
-        let d = duration s.txn nd.Rw_txn.entity in
-        Pqueue.push events
-          (Faults.deliver inj ~site ~now:!now ~transit:d)
-          (Complete s)
-    | Rw_txn.Lock _ ->
-        let transit = Random.State.float rng (max 1e-9 config.Rcfg.request_jitter) in
-        Pqueue.push events (Faults.deliver inj ~site ~now:!now ~transit) (Arrive s);
-        if Faults.duplicated inj ~now:!now then
-          Pqueue.push events
-            (Faults.deliver inj ~site ~now:!now ~transit)
-            (Arrive s)
-  and start_ready i =
-    List.iter
-      (fun v ->
-        if not (Bitset.mem started.(i) v) then start { Rw_system.txn = i; node = v })
-      (Rw_txn.minimal_remaining (Rw_system.txn sys i) executed.(i))
-  in
-  let grant_now (s : Rw_system.step) =
-    let nd = node_of s in
-    let l = locks.(nd.Rw_txn.entity) in
-    l.holders <- s.txn :: l.holders;
-    l.write_mode <- mode_of_step s = Rw_txn.Write;
-    Pqueue.push events
-      (Faults.deliver inj
-         ~site:(Db.site_of db nd.Rw_txn.entity)
-         ~now:!now
-         ~transit:(duration s.txn nd.Rw_txn.entity))
-      (Complete s)
-  in
-  (* Grant from the queue: the head, plus — if the head is a Read — every
-     consecutive Read behind it. *)
-  let rec drain_queue e =
-    let l = locks.(e) in
-    match Queue.peek_opt l.waiters with
-    | None -> ()
-    | Some w -> (
-        match mode_of_step w with
-        | Rw_txn.Write ->
-            if l.holders = [] then begin
-              ignore (Queue.pop l.waiters);
-              grant_now w
-            end
-        | Rw_txn.Read ->
-            if (not l.write_mode) || l.holders = [] then begin
-              ignore (Queue.pop l.waiters);
-              grant_now w;
-              drain_queue e
-            end)
-  in
-  for i = 0 to n - 1 do
-    start_ready i
-  done;
-  let finished () =
-    let rec go i =
-      i >= n
-      || (Bitset.cardinal executed.(i) = Rw_txn.node_count (Rw_system.txn sys i)
-         && go (i + 1))
-    in
-    go 0
-  in
-  let rec loop () =
-    match Pqueue.pop events with
-    | None -> ()
-    | Some (t, Arrive s) ->
-        now := t;
-        (* Duplicated deliveries of the same request are ignored. *)
-        if not (Bitset.mem arrived.(s.txn) s.node) then begin
-          Bitset.set arrived.(s.txn) s.node;
-          let nd = node_of s in
-          let l = locks.(nd.Rw_txn.entity) in
-          let compatible =
-            l.holders = []
-            || ((not l.write_mode)
-               && mode_of_step s = Rw_txn.Read
-               && Queue.is_empty l.waiters)
-          in
-          if compatible then grant_now s else Queue.push s l.waiters
-        end;
-        loop ()
-    | Some (t, Complete s) ->
-        now := t;
-        trace := s :: !trace;
-        Bitset.set executed.(s.txn) s.node;
-        let nd = node_of s in
-        (match nd.Rw_txn.op with
-        | Rw_txn.Unlock ->
-            let l = locks.(nd.Rw_txn.entity) in
-            l.holders <- List.filter (fun j -> j <> s.txn) l.holders;
-            if l.holders = [] then l.write_mode <- false;
-            drain_queue nd.Rw_txn.entity
-        | Rw_txn.Lock _ -> ());
-        start_ready s.txn;
-        loop ()
-  in
-  loop ();
-  let trace = List.rev !trace in
-  let outcome =
-    if finished () then Finished { makespan = !now }
-    else begin
-      let waits_for = ref [] in
-      Array.iteri
-        (fun e l ->
-          Queue.iter
-            (fun (w : Rw_system.step) ->
-              List.iter (fun h -> waits_for := (w.txn, e, h) :: !waits_for) l.holders)
-            l.waiters)
-        locks;
-      Deadlock { time = !now; waits_for = List.rev !waits_for }
-    end
-  in
-  { outcome; trace }
-
-type batch_stats = {
+type batch_stats = Runtime.batch_stats = {
   runs : int;
   deadlocks : int;
   non_serializable : int;
@@ -202,7 +64,4 @@ let batch ?config ?faults rng sys ~runs =
       (if !completed = 0 then Float.nan else !total /. float_of_int !completed);
   }
 
-let pp_batch ppf s =
-  Format.fprintf ppf
-    "%d runs: %d deadlocked, %d non-serializable, mean makespan %.2f" s.runs
-    s.deadlocks s.non_serializable s.mean_makespan
+let pp_batch = Runtime.pp_batch

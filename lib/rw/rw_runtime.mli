@@ -1,16 +1,17 @@
 open Ddlock_model
 
-(** Discrete-event execution of shared/exclusive systems — the runtime
-    counterpart of {!Ddlock_sim.Runtime} with compatibility-aware lock
-    managers: an entity may be held by many readers or one writer, and a
-    Write request waits for every current reader to release.
+(** Discrete-event execution of shared/exclusive systems: the
+    {!Ddlock_sim.Engine} loop under [Wait], Read locks shared and Write
+    locks exclusive.  An entity may be held by many readers or one
+    writer, and a Write request waits for every current reader to
+    release.
 
     Requests are FIFO per entity with one refinement: a Read request is
-    granted immediately when the entity is in read mode {e and} no Write
-    request is already queued (avoiding writer starvation). *)
+    granted immediately when the entity is in read mode {e and} no
+    request is queued (avoiding writer starvation). *)
 
 type outcome =
-  | Finished of { makespan : float }
+  | Finished of { makespan : float }  (** time of the last step *)
   | Deadlock of { time : float; waits_for : (int * Db.entity * int) list }
 
 type run = { outcome : outcome; trace : Rw_system.step list }
@@ -26,7 +27,7 @@ val run :
   Rw_system.t ->
   run
 
-type batch_stats = {
+type batch_stats = Ddlock_sim.Runtime.batch_stats = {
   runs : int;
   deadlocks : int;
   non_serializable : int;

@@ -22,7 +22,7 @@ let db t = t.db
 let to_exclusive t =
   System.create (List.map Rw_txn.to_exclusive (Array.to_list t.txns))
 
-type step = { txn : int; node : int }
+type step = Ddlock_schedule.Step.t = { txn : int; node : int }
 
 let step_to_string sys s =
   Printf.sprintf "%s^%d"

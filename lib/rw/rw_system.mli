@@ -17,7 +17,7 @@ val to_exclusive : t -> System.t
 
 (** {1 States and steps} *)
 
-type step = { txn : int; node : int }
+type step = Ddlock_schedule.Step.t = { txn : int; node : int }
 
 val step_to_string : t -> step -> string
 

@@ -25,11 +25,12 @@ open Ddlock_model
       when the site comes back up;
     - a {e stalled} lock manager defers processing to the end of the
       stall window;
-    - in {!Recovery} a crash additionally {e drops the site's lock
-      tables}: transactions holding locks there are aborted (their
-      in-flight grants die with the incarnation bump) and queued waiters
-      must retransmit their requests.  {!Runtime} and [Rw_runtime] have
-      no abort machinery, so for them a crash is pure unavailability
+    - under a recovery policy ({!Engine.Recover}, used by {!Recovery})
+      a crash additionally {e drops the site's lock tables}: transactions
+      holding locks there are aborted (their in-flight grants die with
+      the incarnation bump) and queued waiters must retransmit their
+      requests.  The {!Engine.Wait} policy ({!Runtime}, [Rw_runtime])
+      never aborts, so under it a crash is pure unavailability
       (fail-stop with stable lock tables).
 
     Probabilistic faults only strike before [horizon]; after it the

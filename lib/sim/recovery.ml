@@ -1,8 +1,7 @@
-open Ddlock_graph
 open Ddlock_model
 open Ddlock_schedule
 
-type scheme =
+type scheme = Engine.scheme =
   | Wait_die
   | Wound_wait
   | Detect of { period : float }
@@ -32,423 +31,24 @@ type run = {
   aborts_by_txn : int array;
   committed_trace : Step.t list;
   stuck_waits : (int * int * int) list;
-      (* (waiter, entity, holder) at end of a timed-out run *)
 }
 
-type event =
-  | Arrive of Step.t * int  (** lock request reaches the manager *)
-  | Complete of Step.t * int  (** step finishes executing *)
-  | Restart of int * int  (** transaction, incarnation *)
-  | Tick  (** detect-and-abort period *)
-  | Crash of Db.site  (** site goes down and drops its lock tables *)
-  | Deadline of Step.t * int  (** lock-wait timeout check *)
-
-(* Waiters carry (step, incarnation, enqueue time); the time feeds the
-   shared lock wait-time histogram and survives the re-queue that happens
-   when a grant replays the remaining waiters against a new holder. *)
-type lock_state = {
-  mutable holder : int option;
-  waiters : (Step.t * int * float) Queue.t;
-}
-
-let obs_aborts = Ddlock_obs.Metrics.Counter.make "sim.aborts"
-let obs_retries = Ddlock_obs.Metrics.Counter.make "sim.retries"
-let obs_lock_timeouts = Ddlock_obs.Metrics.Counter.make "sim.lock_timeouts"
-let obs_commits = Ddlock_obs.Metrics.Counter.make "sim.commits"
-let obs_crashes = Ddlock_obs.Metrics.Counter.make "sim.site_crashes"
-
-let run ~scheme ?(config = default_config) ?(faults = Faults.none) rng sys =
-  let n = System.size sys in
-  let db = System.db sys in
-  let ne = Db.entity_count db in
-  let cfg = config.base in
-  let inj = Faults.injector faults in
-  let locks =
-    Array.init ne (fun _ -> { holder = None; waiters = Queue.create () })
+let run ~scheme ?(config = default_config) ?faults rng sys =
+  let policy =
+    Engine.Recover
+      { scheme; restart_delay = config.restart_delay; max_time = config.max_time }
   in
-  let executed =
-    Array.init n (fun i -> Transaction.empty_prefix (System.txn sys i))
-  in
-  let started =
-    Array.init n (fun i -> Transaction.empty_prefix (System.txn sys i))
-  in
-  (* Requests processed by a lock manager in the current incarnation, for
-     dedup of duplicated deliveries. *)
-  let arrived =
-    Array.init n (fun i -> Transaction.empty_prefix (System.txn sys i))
-  in
-  let incarnation = Array.make n 0 in
-  let committed = Array.make n false in
-  (* Timeout-abort count per transaction: drives the exponential
-     backoff. *)
-  let attempts = Array.make n 0 in
-  let aborts_by_txn = Array.make n 0 in
-  (* Timestamp (priority): arrival order; kept across restarts. *)
-  let ts i = i in
-  (* Probabilistic scheme: a random priority per incarnation, redrawn on
-     every abort.  Drawn only under [Probabilistic] so the other schemes'
-     random streams are unchanged. *)
-  let prio =
-    match scheme with
-    | Probabilistic -> Array.init n (fun _ -> Random.State.float rng 1.0)
-    | Wait_die | Wound_wait | Detect _ | Timeout _ -> [||]
-  in
-  (* Strict total order on live incarnations (ties broken by index). *)
-  let beats r h = prio.(r) > prio.(h) || (prio.(r) = prio.(h) && r < h) in
-  let last_site = Array.make n (-1) in
-  let events : event Pqueue.t = Pqueue.create () in
-  let now = ref 0.0 in
-  let commits = ref 0 and aborts = ref 0 and makespan = ref 0.0 in
-  let trace = ref [] in
-  (* (step, inc) completions, newest first *)
-  let duration i e =
-    let d =
-      cfg.Runtime.min_duration
-      +. Random.State.float rng
-           (max 1e-9 (cfg.Runtime.max_duration -. cfg.Runtime.min_duration))
-    in
-    let site = Db.site_of db e in
-    let extra =
-      if last_site.(i) >= 0 && last_site.(i) <> site then
-        cfg.Runtime.site_latency
-      else 0.0
-    in
-    last_site.(i) <- site;
-    d +. extra
-  in
-  let entity_of (step : Step.t) =
-    (Transaction.node (System.txn sys step.txn) step.node).Node.entity
-  in
-  (* Exponential backoff with jitter: full window after [attempts]
-     timeouts, growth capped at [max_retries] doublings and [cap]. *)
-  let backoff_window base cap max_retries j =
-    let k = min attempts.(j) max_retries in
-    Float.min cap (base *. (2.0 ** float_of_int k))
-  in
-  let jittered w = w *. (0.5 +. Random.State.float rng 1.0) in
-  let restart_backoff j =
-    match scheme with
-    | Timeout { base; cap; max_retries } ->
-        jittered (backoff_window base cap max_retries j)
-    | Wait_die | Wound_wait | Detect _ | Probabilistic -> 0.0
-  in
-  (* The grant message travels back from the manager, subject to faults. *)
-  let push_grant (w : Step.t) winc e =
-    Pqueue.push events
-      (Faults.deliver inj
-         ~site:(Db.site_of db e)
-         ~now:!now
-         ~transit:(duration w.Step.txn e))
-      (Complete (w, winc))
-  in
-  let rec start (step : Step.t) =
-    let nd = Transaction.node (System.txn sys step.txn) step.node in
-    Bitset.set started.(step.txn) step.node;
-    let inc = incarnation.(step.txn) in
-    let site = Db.site_of db nd.entity in
-    match nd.Node.op with
-    | Node.Unlock ->
-        let d = duration step.txn nd.entity in
-        Pqueue.push events
-          (Faults.deliver inj ~site ~now:!now ~transit:d)
-          (Complete (step, inc))
-    | Node.Lock ->
-        let transit =
-          Random.State.float rng (max 1e-9 cfg.Runtime.request_jitter)
-        in
-        Pqueue.push events
-          (Faults.deliver inj ~site ~now:!now ~transit)
-          (Arrive (step, inc));
-        if Faults.duplicated inj ~now:!now then
-          Pqueue.push events
-            (Faults.deliver inj ~site ~now:!now ~transit)
-            (Arrive (step, inc))
-  and start_ready i =
-    if not committed.(i) then
-      List.iter
-        (fun v -> if not (Bitset.mem started.(i) v) then start (Step.v i v))
-        (Transaction.minimal_remaining (System.txn sys i) executed.(i))
-  in
-  (* Grant a free entity to the first still-valid waiter, then replay the
-     remaining waiters against the new holder: the scheme's rule must be
-     re-applied whenever the holder changes, otherwise forbidden wait
-     directions (e.g. younger-waits-on-older under wait-die) leak in via
-     the queue and can re-create deadlocks. *)
-  let rec grant e =
-    let l = locks.(e) in
-    let rec pop_valid () =
-      match Queue.take_opt l.waiters with
-      | None -> None
-      | Some ((w, winc, since) : Step.t * int * float) ->
-          if winc = incarnation.(w.Step.txn) && not committed.(w.Step.txn)
-          then Some (w, winc, since)
-          else pop_valid ()
-    in
-    if l.holder = None then
-      match pop_valid () with
-      | None -> ()
-      | Some (w, winc, since) ->
-          Runtime.obs_wait ~since ~now:!now;
-          l.holder <- Some w.Step.txn;
-          push_grant w winc e;
-          let rest = ref [] in
-          let rec drain () =
-            match pop_valid () with
-            | None -> ()
-            | Some entry ->
-                rest := entry :: !rest;
-                drain ()
-          in
-          drain ();
-          List.iter
-            (fun (w', winc', since') ->
-              if winc' = incarnation.(w'.Step.txn) then
-                match l.holder with
-                | Some h -> on_lock_conflict w' winc' ~since:since' h
-                | None ->
-                    (* the scheme aborted the holder meanwhile *)
-                    Runtime.obs_wait ~since:since' ~now:!now;
-                    l.holder <- Some w'.Step.txn;
-                    push_grant w' winc' e)
-            (List.rev !rest)
-
-  and abort j =
-    incr aborts;
-    Ddlock_obs.Metrics.Counter.incr obs_aborts;
-    aborts_by_txn.(j) <- aborts_by_txn.(j) + 1;
-    incarnation.(j) <- incarnation.(j) + 1;
-    (match scheme with
-    | Probabilistic ->
-        (* Redraw: a repeatedly-wounded transaction eventually draws the
-           top priority, which bounds starvation with probability 1. *)
-        prio.(j) <- Random.State.float rng 1.0
-    | Wait_die | Wound_wait | Detect _ | Timeout _ -> ());
-    executed.(j) <- Transaction.empty_prefix (System.txn sys j);
-    started.(j) <- Transaction.empty_prefix (System.txn sys j);
-    arrived.(j) <- Transaction.empty_prefix (System.txn sys j);
-    (* Release everything j holds; stale queue entries and in-flight
-       events die via the incarnation check. *)
-    for e = 0 to ne - 1 do
-      if locks.(e).holder = Some j then begin
-        locks.(e).holder <- None;
-        grant e
-      end
-    done;
-    Pqueue.push events
-      (!now +. config.restart_delay +. restart_backoff j)
-      (Restart (j, incarnation.(j)))
-
-  and on_lock_conflict (step : Step.t) inc ?(since = Float.nan) holder =
-    let since = if Float.is_nan since then !now else since in
-    let r = step.Step.txn in
-    match scheme with
-    | Detect _ -> Queue.push (step, inc, since) locks.(entity_of step).waiters
-    | Timeout { base; cap; max_retries } ->
-        Queue.push (step, inc, since) locks.(entity_of step).waiters;
-        let w = jittered (backoff_window base cap max_retries r) in
-        Pqueue.push events (!now +. w) (Deadline (step, inc))
-    | Wait_die ->
-        if ts r < ts holder then
-          Queue.push (step, inc, since) locks.(entity_of step).waiters
-        else abort r (* younger requester dies *)
-    | Wound_wait ->
-        if ts r < ts holder then begin
-          (* older requester wounds the younger holder and takes over *)
-          abort holder;
-          let l = locks.(entity_of step) in
-          (* abort released the entity (holder was [holder]); it may have
-             been re-granted to a queued waiter — re-apply the rule
-             against the new holder.  Queueing unconditionally here would
-             let an older transaction wait behind a younger one (a
-             descending wait arc), and one such arc is enough to close a
-             wait-for cycle that the scheme exists to preclude. *)
-          match l.holder with
-          | None ->
-              l.holder <- Some r;
-              push_grant step inc (entity_of step)
-          | Some h' -> on_lock_conflict step inc ~since h'
-        end
-        else Queue.push (step, inc, since) locks.(entity_of step).waiters
-    | Probabilistic ->
-        (* Wound-wait with random per-incarnation priorities [O&B,
-           arXiv:1010.4411]: a higher-priority requester preempts the
-           holder, a lower-priority one waits.  Wait arcs then always
-           ascend the (priority, index) total order, so the wait-for
-           graph is acyclic — no deadlock — and the redraw-on-abort
-           makes persistent starvation a probability-zero event. *)
-        if beats r holder then begin
-          abort holder;
-          let l = locks.(entity_of step) in
-          (* Same re-application as wound-wait above: the entity may have
-             been re-granted to a queued waiter that [r] also beats, and
-             waiting behind it would be a descending arc — the cycle
-             seed.  (Found by the partial-replication chaos fuzz.) *)
-          match l.holder with
-          | None ->
-              l.holder <- Some r;
-              push_grant step inc (entity_of step)
-          | Some h' -> on_lock_conflict step inc ~since h'
-        end
-        else Queue.push (step, inc, since) locks.(entity_of step).waiters
-  in
-  (* A site crash drops its lock tables: holders of its entities abort
-     (their in-flight grants die with the incarnation bump) and queued
-     waiters are lost — still-valid ones retransmit their requests, which
-     the fault layer defers past the crash window. *)
-  let on_crash s =
-    Ddlock_obs.Metrics.Counter.incr obs_crashes;
-    for e = 0 to ne - 1 do
-      if Db.site_of db e = s then begin
-        let l = locks.(e) in
-        let rec drop () =
-          match Queue.take_opt l.waiters with
-          | None -> ()
-          | Some ((w, winc, _) : Step.t * int * float) ->
-              if winc = incarnation.(w.Step.txn) && not committed.(w.Step.txn)
-              then begin
-                Bitset.clear arrived.(w.Step.txn) w.Step.node;
-                Pqueue.push events
-                  (Faults.deliver inj ~site:s ~now:!now
-                     ~transit:(Faults.plan inj).Faults.retransmit)
-                  (Arrive (w, winc))
-              end;
-              drop ()
-        in
-        drop ();
-        match l.holder with
-        | Some h when not committed.(h) -> abort h
-        | _ -> ()
-      end
-    done
-  in
-  (* The wait-for graph of currently-valid waiters. *)
-  let wait_for_arcs () =
-    let arcs = ref [] in
-    Array.iteri
-      (fun _e l ->
-        match l.holder with
-        | None -> ()
-        | Some h ->
-            Queue.iter
-              (fun ((w, winc, _) : Step.t * int * float) ->
-                if winc = incarnation.(w.Step.txn) then
-                  arcs := (w.Step.txn, h) :: !arcs)
-              l.waiters)
-      locks;
-    !arcs
-  in
-  for i = 0 to n - 1 do
-    start_ready i
-  done;
-  (match scheme with
-  | Detect { period } -> Pqueue.push events period Tick
-  | Wait_die | Wound_wait | Timeout _ | Probabilistic -> ());
-  List.iter
-    (fun (w : Faults.window) ->
-      Pqueue.push events w.Faults.from_t (Crash w.Faults.site))
-    faults.Faults.crashes;
-  let rec loop () =
-    if !commits < n then
-      match Pqueue.pop events with
-      | None -> ()
-      | Some (t, _) when t > config.max_time -> ()
-      | Some (t, ev) ->
-          now := t;
-          (match ev with
-          | Restart (j, inc) ->
-              if inc = incarnation.(j) && not committed.(j) then begin
-                Ddlock_obs.Metrics.Counter.incr obs_retries;
-                start_ready j
-              end
-          | Crash s -> on_crash s
-          | Deadline (step, inc) ->
-              (* Still waiting (not granted, not executed) in the same
-                 incarnation: time out, abort, restart with backoff. *)
-              let j = step.Step.txn in
-              if
-                inc = incarnation.(j)
-                && (not committed.(j))
-                && (not (Bitset.mem executed.(j) step.Step.node))
-                && locks.(entity_of step).holder <> Some j
-              then begin
-                attempts.(j) <- attempts.(j) + 1;
-                Ddlock_obs.Metrics.Counter.incr obs_lock_timeouts;
-                abort j
-              end
-          | Tick ->
-              (match scheme with
-              | Detect { period } ->
-                  let arcs = wait_for_arcs () in
-                  let g = Digraph.create n arcs in
-                  (match Topo.find_cycle g with
-                  | Some cycle ->
-                      (* Abort the youngest (largest timestamp). *)
-                      abort (List.fold_left max (List.hd cycle) cycle)
-                  | None -> ());
-                  if !commits < n then Pqueue.push events (t +. period) Tick
-              | Wait_die | Wound_wait | Timeout _ | Probabilistic -> ())
-          | Arrive (step, inc) ->
-              if
-                inc = incarnation.(step.Step.txn)
-                && not (Bitset.mem arrived.(step.Step.txn) step.Step.node)
-              then begin
-                Bitset.set arrived.(step.Step.txn) step.Step.node;
-                let l = locks.(entity_of step) in
-                match l.holder with
-                | None ->
-                    l.holder <- Some step.Step.txn;
-                    push_grant step inc (entity_of step)
-                | Some h -> on_lock_conflict step inc h
-              end
-          | Complete (step, inc) ->
-              if inc = incarnation.(step.Step.txn) then begin
-                trace := (step, inc) :: !trace;
-                Bitset.set executed.(step.txn) step.node;
-                let nd =
-                  Transaction.node (System.txn sys step.txn) step.node
-                in
-                (match nd.Node.op with
-                | Node.Unlock ->
-                    locks.(nd.entity).holder <- None;
-                    grant nd.entity
-                | Node.Lock -> ());
-                if
-                  Bitset.cardinal executed.(step.txn)
-                  = Transaction.node_count (System.txn sys step.txn)
-                then begin
-                  committed.(step.txn) <- true;
-                  incr commits;
-                  Ddlock_obs.Metrics.Counter.incr obs_commits;
-                  makespan := !now
-                end
-                else start_ready step.txn
-              end);
-          loop ()
-  in
-  loop ();
-  let committed_trace =
-    List.rev_map fst
-      (List.filter
-         (fun ((s : Step.t), inc) ->
-           committed.(s.txn) && inc = incarnation.(s.txn))
-         !trace)
-  in
-  let stuck_waits =
-    if !commits < n then
-      List.map (fun (w, h) -> (w, -1, h)) (wait_for_arcs ())
-    else []
-  in
+  let r = Engine.run policy ?faults config.base rng (Engine.of_system sys) in
+  let { Engine.commits; aborts; makespan; committed; _ } = r in
   {
-    stats =
-      {
-        commits = !commits;
-        aborts = !aborts;
-        makespan = !makespan;
-        timed_out = !commits < n;
-      };
-    aborts_by_txn;
-    committed_trace;
-    stuck_waits;
+    stats = { commits; aborts; makespan; timed_out = commits < System.size sys };
+    aborts_by_txn = r.Engine.aborts_by_txn;
+    committed_trace =
+      List.filter_map
+        (fun (e : Engine.entry) ->
+          if committed.(e.step.txn) then Some e.step else None)
+        r.Engine.trace;
+    stuck_waits = r.Engine.waits;
   }
 
 type batch_stats = {

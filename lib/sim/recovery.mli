@@ -4,7 +4,9 @@ open Ddlock_schedule
 (** Runtime deadlock handling: the classic timestamp schemes of
     Rosenkrantz, Stearns & Lewis [RSL, cited by the paper], periodic
     detect-and-abort, and lock-wait timeout with exponential backoff —
-    the {e dynamic} alternatives to the paper's static guarantees.
+    the {e dynamic} alternatives to the paper's static guarantees.  A run
+    is the {!Engine} loop with exclusive locks and the
+    {!Engine.Recover} policy of the scheme.
 
     Unlike {!Runtime}, transactions here can {e abort}: an aborted
     transaction releases all its locks, discards its progress, and
@@ -47,7 +49,7 @@ open Ddlock_schedule
     in-flight grants die with the incarnation bump) and queued waiters
     retransmit their requests once the site is back up. *)
 
-type scheme =
+type scheme = Engine.scheme =
   | Wait_die
   | Wound_wait
   | Detect of { period : float }

@@ -2,36 +2,27 @@ open Ddlock_model
 open Ddlock_schedule
 
 (** Discrete-event execution of a transaction system on a multi-site
-    database with per-entity lock managers.
-
-    Each transaction executes its partial order with true intra-
-    transaction concurrency: all ready steps proceed in parallel (one
-    in-flight step per site, reflecting the model's site-total orders).
-    A ready Lock on a busy entity enqueues the transaction in the
-    entity's FIFO wait queue; Unlocks release and grant to the queue
-    head.  Step durations are drawn from the configuration, so different
-    seeds explore different interleavings.
+    database with per-entity lock managers: the {!Engine} loop with
+    exclusive locks and the {!Engine.Wait} policy.
 
     A run ends when all transactions finish, or when no event is in
     flight and someone is blocked — a runtime deadlock.  The trace is a
     legal schedule of the system by construction (re-checked in tests). *)
 
-type config = {
-  min_duration : float;  (** lower bound of a step's service time *)
-  max_duration : float;  (** upper bound (uniform) *)
-  site_latency : float;  (** added once per cross-site transition *)
+(** Step timing, documented in {!Engine.config}. *)
+type config = Engine.config = {
+  min_duration : float;
+  max_duration : float;
+  site_latency : float;
   request_jitter : float;
-      (** a Lock request reaches its entity's lock manager after a
-          uniform [0, request_jitter) transit delay, so concurrent
-          requests race in different orders on different seeds *)
 }
 
 val default_config : config
 
-type trace_entry = { time : float; step : Step.t }
+type trace_entry = Engine.entry = { time : float; step : Step.t }
 
 type outcome =
-  | Finished of { makespan : float }
+  | Finished of { makespan : float }  (** time of the last step *)
   | Deadlock of {
       time : float;
       waits_for : (int * Db.entity * int) list;
@@ -46,10 +37,11 @@ type run = { outcome : outcome; trace : trace_entry list }
     [faults] (default {!Faults.none}) injects message loss with
     retransmission, duplication of lock requests (deduplicated at the
     manager), and crash/stall windows during which a site buffers
-    incoming messages.  This runtime has no abort machinery, so crashed
-    sites keep their lock tables (fail-stop with stable storage); see
-    {!Recovery} for crashes that drop lock state.  With [faults] absent
-    the run is byte-identical to the fault-free simulator. *)
+    incoming messages.  Under the [Wait] policy nothing aborts, so
+    crashed sites keep their lock tables (fail-stop with stable
+    storage); see {!Recovery} for crashes that drop lock state.  With
+    [faults] absent the run is byte-identical to the fault-free
+    simulator. *)
 val run :
   ?config:config -> ?faults:Faults.plan -> Random.State.t -> System.t -> run
 
@@ -78,8 +70,3 @@ val batch :
 
 val pp_outcome : System.t -> Format.formatter -> outcome -> unit
 val pp_batch : Format.formatter -> batch_stats -> unit
-
-(** Record one lock wait into the shared ["sim.lock_wait_us"] histogram
-    (sim time is scaled to micro-units so log2 buckets resolve sub-unit
-    waits).  Shared with {!Recovery}, whose runs feed the same metric. *)
-val obs_wait : since:float -> now:float -> unit

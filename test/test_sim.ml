@@ -387,6 +387,346 @@ let matrix_zero_intensity_prop =
             Chaos.default_schemes)
         (matrix_scenarios ()))
 
+(* ------------------------------------------------------------------ *)
+(* Refactor oracle: golden digests of seeded runs                       *)
+(* ------------------------------------------------------------------ *)
+
+(* Every entry digests [golden_seeds] seeded runs of one simulator on
+   one workload: the full trace and outcome, floats in exact hex.  The
+   digests were recorded before the three event loops were folded into
+   [Engine]; a changed digest means a changed execution. *)
+
+let golden_seeds = 25
+
+let digest_seeds f =
+  let b = Buffer.create 4096 in
+  for seed = 1 to golden_seeds do
+    Printf.bprintf b "#%d " seed;
+    f b seed
+  done;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let add_step b (s : Step.t) = Printf.bprintf b "%d.%d " s.txn s.node
+let add_float b x = Printf.bprintf b "%h " x
+
+let golden_plan db seed ~intensity =
+  Faults.random (Fixtures.rng (1000 + seed)) db ~intensity ~horizon:40.0
+
+let runtime_digest ~faulted sys =
+  digest_seeds (fun b seed ->
+      let faults =
+        if faulted then golden_plan (System.db sys) seed ~intensity:0.8
+        else Faults.none
+      in
+      let r = Runtime.run ~faults (Fixtures.rng seed) sys in
+      List.iter
+        (fun (e : Runtime.trace_entry) ->
+          add_float b e.Runtime.time;
+          add_step b e.Runtime.step)
+        r.Runtime.trace;
+      match r.Runtime.outcome with
+      | Runtime.Finished { makespan } ->
+          Buffer.add_string b "F ";
+          add_float b makespan
+      | Runtime.Deadlock { time; waits_for; cycle } ->
+          Buffer.add_string b "D ";
+          add_float b time;
+          List.iter
+            (fun (w, e, h) -> Printf.bprintf b "%d>%d>%d " w e h)
+            waits_for;
+          List.iter (Printf.bprintf b "c%d ") cycle)
+
+(* Recovery runs cycle through fault intensities 0.0, 0.4 and 0.8. *)
+let recovery_digest scheme sys =
+  digest_seeds (fun b seed ->
+      let faults =
+        golden_plan (System.db sys) seed
+          ~intensity:(0.4 *. float_of_int (seed mod 3))
+      in
+      let r = Recovery.run ~scheme ~faults (Fixtures.rng seed) sys in
+      List.iter (add_step b) r.Recovery.committed_trace;
+      let s = r.Recovery.stats in
+      Printf.bprintf b "c%d a%d t%b " s.Recovery.commits s.Recovery.aborts
+        s.Recovery.timed_out;
+      add_float b s.Recovery.makespan;
+      Array.iter (Printf.bprintf b "x%d ") r.Recovery.aborts_by_txn)
+
+(* The catalog-reader shape: R(catalog) W(row_i) U(catalog) U(row_i);
+   [~mode:Write] makes every lock exclusive. *)
+let catalog_readers ?(mode = Ddlock_rw.Rw_txn.Read) k =
+  let module Rw_txn = Ddlock_rw.Rw_txn in
+  let names = "catalog" :: List.init k (fun i -> "row" ^ string_of_int i) in
+  let db = Db.one_site_per_entity names in
+  let catalog = Db.find_entity_exn db "catalog" in
+  let mk i =
+    let row = Db.find_entity_exn db ("row" ^ string_of_int i) in
+    Result.get_ok
+      (Rw_txn.of_total_order db
+         [
+           { Rw_txn.entity = catalog; op = Rw_txn.Lock mode };
+           { Rw_txn.entity = row; op = Rw_txn.Lock Rw_txn.Write };
+           { Rw_txn.entity = catalog; op = Rw_txn.Unlock };
+           { Rw_txn.entity = row; op = Rw_txn.Unlock };
+         ])
+  in
+  Ddlock_rw.Rw_system.create (List.init k mk)
+
+let rw_digest ~faulted sys =
+  let module Rw = Ddlock_rw.Rw_runtime in
+  digest_seeds (fun b seed ->
+      let faults =
+        if faulted then
+          golden_plan (Ddlock_rw.Rw_system.db sys) seed ~intensity:0.8
+        else Faults.none
+      in
+      let r = Rw.run ~faults (Fixtures.rng seed) sys in
+      List.iter
+        (fun (s : Ddlock_rw.Rw_system.step) ->
+          Printf.bprintf b "%d.%d " s.Ddlock_rw.Rw_system.txn
+            s.Ddlock_rw.Rw_system.node)
+        r.Rw.trace;
+      match r.Rw.outcome with
+      | Rw.Finished { makespan } ->
+          Buffer.add_string b "F ";
+          add_float b makespan
+      | Rw.Deadlock { time; waits_for } ->
+          Buffer.add_string b "D ";
+          add_float b time;
+          List.iter
+            (fun (w, e, h) -> Printf.bprintf b "%d>%d>%d " w e h)
+            waits_for)
+
+let golden_digests () =
+  List.concat_map
+    (fun { Chaos.label; system } ->
+      ("runtime/" ^ label, runtime_digest ~faulted:false system)
+      :: ("runtime+faults/" ^ label, runtime_digest ~faulted:true system)
+      :: List.map
+           (fun (sname, scheme) ->
+             (sname ^ "/" ^ label, recovery_digest scheme system))
+           Chaos.default_schemes)
+    (Chaos.default_cases ())
+  @ [
+      ("rw/catalog4", rw_digest ~faulted:false (catalog_readers 4));
+      ("rw+faults/catalog4", rw_digest ~faulted:true (catalog_readers 4));
+    ]
+
+let golden =
+  [
+    ("runtime/philosophers4", "2e47b8e0f5fa98142ff7f26ff4ce899c");
+    ("runtime+faults/philosophers4", "42f7d70951716e5dbb0e041aaa62aa06");
+    ("wait-die/philosophers4", "2d3c073d4755e57f6b38899bb14e536f");
+    ("wound-wait/philosophers4", "651ec05c36a9b705b0a031c65360d74d");
+    ("detect/philosophers4", "8aa9cd936937abdeeb080df57b53ff27");
+    ("timeout/philosophers4", "f33b18ae7de15cbec53619d5ffe60482");
+    ("probabilistic/philosophers4", "7a037f8721b74172edc0992c7061065a");
+    ("runtime/ring3x2", "06d59df517426bf150451265c23b0783");
+    ("runtime+faults/ring3x2", "ee44545a9b5ef25729d2a4b6962dc856");
+    ("wait-die/ring3x2", "97313764a50c4c3f1dcfad9d9e4f08ea");
+    ("wound-wait/ring3x2", "6ae8f4c70863ba0673c233df004ab073");
+    ("detect/ring3x2", "699b83dcd4c788a006d2a0b7d1666536");
+    ("timeout/ring3x2", "b874d3135d768a388ffa63b6b16c9cd7");
+    ("probabilistic/ring3x2", "2fc8e37d8e3cdc56bfb9713aa27e3516");
+    ("runtime/ordered2pl", "272e49f6a7beb3f8d2476002fd18136d");
+    ("runtime+faults/ordered2pl", "143006202d0f7f02be596bd2b4e91b53");
+    ("wait-die/ordered2pl", "2db35f156d08b1723cf30380cc1b0c8e");
+    ("wound-wait/ordered2pl", "11d28adea6d511467f3dc7e0bc9e1488");
+    ("detect/ordered2pl", "a392ba67ebe935eb26a5bb672b26f6b1");
+    ("timeout/ordered2pl", "bcf741e2eb9321a331528058c985dee3");
+    ("probabilistic/ordered2pl", "96ea3594b8846b41ee7c6bc21814089c");
+    ("runtime/zipf-hotspot", "b19c42345b9f0862c9b41e3ce4317aea");
+    ("runtime+faults/zipf-hotspot", "d07abeff6dcc9e34f9aa3831ecf9a53f");
+    ("wait-die/zipf-hotspot", "9be06f8e05d68eefd19c4b788f9fc404");
+    ("wound-wait/zipf-hotspot", "299d5d607e8ee9749a030bc6a64ea963");
+    ("detect/zipf-hotspot", "084ac15a801c0f9fc851b286bd15cd52");
+    ("timeout/zipf-hotspot", "cb4ec8fa6174b4508f71e3be3cdb4fcb");
+    ("probabilistic/zipf-hotspot", "731b6a946b76a7ad91c3786d0c98f7e7");
+    ("runtime/tpcc2w", "b6b281a90e119cd3499461b40a462e19");
+    ("runtime+faults/tpcc2w", "a8f59555f8f77c8fecda8d3588a31774");
+    ("wait-die/tpcc2w", "d7c0acef7ac17aef6d3911fde9f65655");
+    ("wound-wait/tpcc2w", "f95ed18651afb1402bc52b9984763961");
+    ("detect/tpcc2w", "bc98ace278c970ee06cabe29a894b9b6");
+    ("timeout/tpcc2w", "e6a95dde04026cc96acab746166c8073");
+    ("probabilistic/tpcc2w", "b464892a3c11f5a47ea1a6f95aedc6b5");
+    ("runtime/partrep3s", "bc52849e11df34da78d8abfee36b7e6a");
+    ("runtime+faults/partrep3s", "b0f5a93c4c52f53dc3ba30afccc1d4de");
+    ("wait-die/partrep3s", "72e279152719e4779a5aa5a76c6d0216");
+    ("wound-wait/partrep3s", "cabcfbf69d123be73bfe9eab08d187cf");
+    ("detect/partrep3s", "5d4cafb8bdcd1ea91fd249bf50b97359");
+    ("timeout/partrep3s", "e0dd383282a3401518877da8dd1a7735");
+    ("probabilistic/partrep3s", "eb43a07198236f6254aaad0e8a0364f4");
+    ("rw/catalog4", "b50f509609f7742645929842defba6da");
+    ("rw+faults/catalog4", "ca2356765293362bc6142c69802ec8a4");
+  ]
+
+let test_golden_digests () =
+  let got = golden_digests () in
+  check
+    (Alcotest.list Alcotest.string)
+    "entries" (List.map fst golden) (List.map fst got);
+  List.iter2
+    (fun (label, want) (_, digest) -> check Alcotest.string label want digest)
+    golden got
+
+(* ------------------------------------------------------------------ *)
+(* Makespan ignores stale duplicate deliveries                          *)
+(* ------------------------------------------------------------------ *)
+
+(* Heavy duplication and loss, no crash or stall windows: a duplicated
+   lock request can reach its manager after the last step completed.
+   The dedup ignores it, and it must not stretch the makespan either. *)
+let dup_plan seed =
+  {
+    Faults.none with
+    Faults.dup = 0.9;
+    loss = 0.6;
+    retransmit = 8.0;
+    horizon = 60.0;
+    seed;
+  }
+
+let test_makespan_is_last_step () =
+  let sys = Ddlock_workload.Gentx.dining_philosophers 3 in
+  let finished = ref 0 in
+  for seed = 1 to 400 do
+    let r = Runtime.run ~faults:(dup_plan seed) (Fixtures.rng seed) sys in
+    match r.Runtime.outcome with
+    | Runtime.Finished { makespan } ->
+        incr finished;
+        let last = (List.hd (List.rev r.Runtime.trace)).Runtime.time in
+        check (Alcotest.float 0.0)
+          (Printf.sprintf "runtime seed %d: makespan = last step" seed)
+          last makespan
+    | Runtime.Deadlock _ -> ()
+  done;
+  check bool_t "some runs finished" true (!finished > 50);
+  (* A shared/exclusive system with only Write locks runs exactly as
+     its exclusive abstraction, whose trace carries the times. *)
+  let rw = catalog_readers ~mode:Ddlock_rw.Rw_txn.Write 3 in
+  let excl = Ddlock_rw.Rw_system.to_exclusive rw in
+  for seed = 1 to 400 do
+    let r =
+      Ddlock_rw.Rw_runtime.run ~faults:(dup_plan seed) (Fixtures.rng seed) rw
+    in
+    let x = Runtime.run ~faults:(dup_plan seed) (Fixtures.rng seed) excl in
+    match (r.Ddlock_rw.Rw_runtime.outcome, x.Runtime.outcome) with
+    | Ddlock_rw.Rw_runtime.Finished { makespan }, Runtime.Finished _ ->
+        let last = (List.hd (List.rev x.Runtime.trace)).Runtime.time in
+        check (Alcotest.float 0.0)
+          (Printf.sprintf "rw seed %d: makespan = last step" seed)
+          last makespan
+    | Ddlock_rw.Rw_runtime.Deadlock _, Runtime.Deadlock _ -> ()
+    | _ -> Alcotest.failf "rw seed %d: outcome differs from exclusive run" seed
+  done
+
+(* ------------------------------------------------------------------ *)
+(* Wait-for arcs of a run cut off by max_time                           *)
+(* ------------------------------------------------------------------ *)
+
+let test_stuck_waits_name_entities () =
+  (* Detect with a period longer than [max_time] never aborts, so the
+     run executes exactly as the wait-forever runtime from the same seed
+     and is cut off in the same deadlock. *)
+  let sys = Ddlock_workload.Gentx.dining_philosophers 3 in
+  let scheme = Recovery.Detect { period = 1e6 } in
+  let cut = ref 0 in
+  for seed = 1 to 30 do
+    let r = Recovery.run ~scheme (Fixtures.rng seed) sys in
+    let rt = Runtime.run (Fixtures.rng seed) sys in
+    match rt.Runtime.outcome with
+    | Runtime.Finished _ ->
+        check bool_t "finished alike" false r.Recovery.stats.Recovery.timed_out
+    | Runtime.Deadlock { waits_for; _ } ->
+        incr cut;
+        check bool_t "cut off" true r.Recovery.stats.Recovery.timed_out;
+        let arcs = r.Recovery.stuck_waits in
+        check bool_t "arcs reported" true (arcs <> []);
+        check
+          (Alcotest.list (Alcotest.triple int_t int_t int_t))
+          "the runtime's wait-for arcs"
+          (List.sort compare waits_for)
+          (List.sort compare arcs);
+        let done_ = Runtime.schedule_of_run rt in
+        let executed t op e =
+          List.exists
+            (fun (s : Step.t) ->
+              s.txn = t
+              &&
+              let nd = Transaction.node (System.txn sys t) s.node in
+              nd.Node.entity = e && nd.Node.op = op)
+            done_
+        in
+        List.iter
+          (fun (w, e, h) ->
+            check bool_t "valid entity" true
+              (e >= 0 && e < Db.entity_count (System.db sys));
+            check bool_t "waiter requests it" true
+              (Transaction.accesses (System.txn sys w) e
+              && not (executed w Node.Lock e));
+            check bool_t "holder holds it" true
+              (w <> h && executed h Node.Lock e
+              && not (executed h Node.Unlock e)))
+          arcs
+  done;
+  check bool_t "some runs cut off" true (!cut > 20)
+
+(* ------------------------------------------------------------------ *)
+(* Wound re-grant: a wounding requester re-applies the rule             *)
+(* ------------------------------------------------------------------ *)
+
+(* When a wound releases the entity and the release re-grants it to a
+   queued waiter, the wounding requester must be judged against the new
+   holder.  Queueing it unconditionally lets an older transaction wait
+   behind a younger one, and that descending arc closes a wait-for
+   cycle: the run starves.  These seeded partial-replication runs starve
+   without the re-application (found by fuzzing). *)
+let test_wound_regrant_pinned () =
+  List.iter
+    (fun (name, scheme, sites, entities, a, intensity) ->
+      let rep =
+        Ddlock_workload.Gentx.replicated_db ~sites ~entities ~replication:2
+      in
+      let sys =
+        Ddlock_workload.Gentx.replicated_system
+          (Random.State.make [| a |])
+          rep ~txns:3 ~entities_per_txn:2
+      in
+      let faults =
+        Faults.random
+          (Random.State.make [| a; 1 |])
+          (System.db sys) ~intensity ~horizon:30.0
+      in
+      let vs, _ =
+        Chaos.run_case ~scheme ~faults (Random.State.make [| a; 2 |]) sys
+      in
+      check int_t (Printf.sprintf "%s a=%d: no violation" name a) 0
+        (List.length vs))
+    [
+      ("probabilistic", Recovery.Probabilistic, 3, 3, 52, 0.0);
+      ("probabilistic", Recovery.Probabilistic, 3, 3, 39, 0.8);
+      ("wound-wait", Recovery.Wound_wait, 2, 2, 3091, 0.8);
+      ("wound-wait", Recovery.Wound_wait, 2, 3, 18683, 0.8);
+    ]
+
+(* A transaction with no nodes has nothing to wait for: it counts as
+   committed from the start under every policy. *)
+let test_empty_transaction_commits () =
+  let db = Db.one_site_per_entity [ "a" ] in
+  let sys =
+    System.create
+      [ Builder.two_phase_chain db [ "a" ]; Transaction.make_exn db [||] [] ]
+  in
+  (match (Runtime.run (Fixtures.rng 1) sys).Runtime.outcome with
+  | Runtime.Finished _ -> ()
+  | Runtime.Deadlock _ -> Alcotest.fail "runtime: deadlock reported");
+  List.iter
+    (fun (name, scheme) ->
+      let r = Recovery.run ~scheme (Fixtures.rng 1) sys in
+      check int_t (name ^ ": commits") 2 r.Recovery.stats.Recovery.commits;
+      check bool_t (name ^ ": not cut off") false
+        r.Recovery.stats.Recovery.timed_out)
+    Chaos.default_schemes
+
 let qtests =
   List.map Fixtures.to_alcotest
     [
@@ -422,5 +762,15 @@ let suite =
       test_zipf_skews_hot_entities;
     Alcotest.test_case "matrix scenarios survive chaos sweep" `Quick
       test_matrix_scenarios_chaos_clean;
+    Alcotest.test_case "golden digests of seeded runs" `Quick
+      test_golden_digests;
+    Alcotest.test_case "makespan is the last step" `Quick
+      test_makespan_is_last_step;
+    Alcotest.test_case "stuck waits name entities" `Quick
+      test_stuck_waits_name_entities;
+    Alcotest.test_case "wound re-grant pinned" `Quick
+      test_wound_regrant_pinned;
+    Alcotest.test_case "empty transaction commits" `Quick
+      test_empty_transaction_commits;
   ]
   @ qtests
