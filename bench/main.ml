@@ -576,7 +576,7 @@ let par () =
         (fun jobs ->
           let fdf, fms =
             wall_clock (fun () ->
-                Deadlock.Prefix_search.deadlock_free ~fast:true ~jobs repaired)
+                Deadlock.Prefix_search.deadlock_free ~jobs repaired)
           in
           assert fdf;
           Format.printf "  %-22s %-10s %-6d %-10.1f@." "prefix-search" "-" jobs

@@ -56,9 +56,12 @@ let seed_arg =
 
 let jobs_arg =
   Arg.(value & opt int 1 & info [ "jobs" ]
-       ~doc:"Worker domains for the $(b,--fast) exhaustive search \
-             (results are identical for every value; without \
-             $(b,--fast) the search is sequential).")
+       ~doc:"Worker domains for the exhaustive search: 1 runs the \
+             sequential search, N >= 2 a work-stealing search on N \
+             domains.  The verdict — and for $(b,analyze), the \
+             reported witness schedule — is identical for every value \
+             (witnesses are re-canonicalized by a sequential \
+             re-search, as with --por).")
 
 let check_jobs jobs =
   if jobs < 1 then begin
@@ -102,25 +105,6 @@ let check_por ~por sys =
     Format.eprintf
       "ddlock: --por: no two steps are independent; partial-order \
        reduction is a no-op@."
-
-let fast_arg =
-  Arg.(value & flag & info [ "fast" ]
-       ~doc:"Work-stealing exhaustive search on $(b,--jobs) domains \
-             instead of the sequential one, for real multicore \
-             speedup.  The verdict — and for $(b,analyze), \
-             the reported witness schedule — is identical to the plain \
-             search (witnesses are re-canonicalized by a sequential \
-             re-search, as with --por); composes with --symmetry and \
-             --por.  Requires --jobs N with N >= 2.")
-
-(* Fast mode with one domain would silently be a slower way to spell
-   the sequential engine's verdict; require an explicit worker count
-   so the flag always means "use the cores". *)
-let check_fast ~fast jobs =
-  if fast && jobs < 2 then begin
-    Format.eprintf "ddlock: --fast requires --jobs N with N >= 2@.";
-    exit 2
-  end
 
 (* --------------------------- observability ------------------------- *)
 
@@ -189,16 +173,15 @@ let validate_cmd =
 (* ----------------------------- analyze ----------------------------- *)
 
 let analyze_cmd =
-  let run file max_states jobs symmetry por fast stats trace =
+  let run file max_states jobs symmetry por stats trace =
     check_jobs jobs;
-    check_fast ~fast jobs;
     obs_start ~stats ~trace;
     let r = load file in
     let sys = Parser.system_of_result r in
     check_symmetry ~symmetry sys;
     check_por ~por sys;
     let text, status, _report =
-      Analysis.render_full ~max_states ~jobs ~symmetry ~por ~fast sys
+      Analysis.render_full ~max_states ~jobs ~symmetry ~por sys
     in
     print_string text;
     exit status
@@ -210,7 +193,7 @@ let analyze_cmd =
           exhaustive deadlock search.")
     Term.(
       const run $ file_arg $ max_states_arg $ jobs_arg $ symmetry_arg
-      $ por_arg $ fast_arg $ stats_arg $ trace_arg)
+      $ por_arg $ stats_arg $ trace_arg)
 
 (* ------------------------------- pair ------------------------------ *)
 
@@ -518,15 +501,14 @@ let repair_cmd =
 (* ----------------------------- minimize ---------------------------- *)
 
 let minimize_cmd =
-  let run file max_states jobs symmetry por fast stats trace =
+  let run file max_states jobs symmetry por stats trace =
     check_jobs jobs;
-    check_fast ~fast jobs;
     obs_start ~stats ~trace;
     let r = load file in
     let sys = Parser.system_of_result r in
     check_symmetry ~symmetry sys;
     check_por ~por sys;
-    match Minimize.deadlock_core ~max_states ~jobs ~symmetry ~por ~fast sys with
+    match Minimize.deadlock_core ~max_states ~jobs ~symmetry ~por sys with
     | None ->
         Format.printf
           "# no deadlock found (deadlock-free, or search budget exceeded)@.";
@@ -556,7 +538,7 @@ let minimize_cmd =
          "Shrink a deadlocking system to a minimal core that still           deadlocks (drops transactions and entity accesses).")
     Term.(
       const run $ file_arg $ max_states_arg $ jobs_arg $ symmetry_arg
-      $ por_arg $ fast_arg $ stats_arg $ trace_arg)
+      $ por_arg $ stats_arg $ trace_arg)
 
 (* ------------------------------- dot ------------------------------- *)
 

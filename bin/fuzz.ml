@@ -28,7 +28,9 @@
      kernel's FIFO policy behind the jobs interface) vs the sequential
      explorer — identical state
      counts, identical deadlock witnesses, identical Lemma-1
-     counterexamples, identical Theorem-1 prefix verdicts;
+     counterexamples — and Theorem-1 prefix search at 2..n jobs
+     (work stealing plus one FIFO re-search) returning exactly its
+     jobs = 1 witness;
    - with [--symmetry]: the orbit-canonicalized engines (Sched.Canon)
      vs the plain ones — identical deadlock verdicts on both generic
      and identical-copy systems, witness legality, canonical state
@@ -41,16 +43,17 @@
      prefix verdicts, composition with --symmetry on copies systems,
      and (under --jobs) par-vs-seq reduced equality plus identical
      por.pruned / por.persistent_size counter totals;
-   - with [--fast] (requires --jobs >= 2): the relaxed work-stealing
-     engine (Par_explore ~mode:`Fast) vs the sequential ground truth —
-     byte-identical find_deadlock results (fast re-canonicalizes its
-     witness exactly like --por), identical state counts, identical
-     Lemma-1 counterexamples, Theorem-1 prefix verdicts, legality /
-     endpoint / deadlock of the raw (un-canonicalized) bfs witness via
-     Schedule replay, and composition with --symmetry / --por.  The
-     par.steals / par.intern_hits / par.arena_reuse counters are
-     intentionally NOT cross-checked: they are racy by design and the
-     jobs-invariance contract exempts them.
+   - with [--jobs n], n > 1, also the work-stealing engine that
+     jobs >= 2 selects (Par_explore ~mode:`Fast) vs the sequential
+     ground truth — byte-identical find_deadlock results (work stealing
+     re-canonicalizes its witness exactly like --por), byte-identical
+     Analysis.render_full output and Lemma-1 outcomes (also at small
+     budgets), identical state counts, legality / endpoint / deadlock
+     of the raw (un-canonicalized) bfs witness via Schedule replay, and
+     composition with --symmetry / --por.  The par.steals /
+     par.intern_hits / par.arena_reuse counters are intentionally NOT
+     cross-checked: they are racy by design and the jobs-invariance
+     contract exempts them.
 
    The every-100-rounds summary line also reports cumulative per-engine
    wall-clock, so long soaks double as a coarse perf regression check.
@@ -63,7 +66,6 @@ let () =
   let rounds = ref 500 and seed = ref 1 and txns = ref 3 and jobs = ref 1 in
   let symmetry = ref false in
   let por = ref false in
-  let fast = ref false in
   let args =
     [
       ("--rounds", Arg.Set_int rounds, "number of rounds (default 500)");
@@ -71,8 +73,8 @@ let () =
       ("--txns", Arg.Set_int txns, "transactions per system (default 3)");
       ( "--jobs",
         Arg.Set_int jobs,
-        "also cross-check Par_explore at 2..jobs jobs \
-         (default 1 = off)" );
+        "also cross-check Par_explore, prefix search and the \
+         work-stealing engine at 2..jobs jobs (default 1 = off)" );
       ( "--symmetry",
         Arg.Set symmetry,
         "also cross-check the symmetry-reduced engines against the plain \
@@ -81,19 +83,11 @@ let () =
         Arg.Set por,
         "also cross-check the persistent/sleep-set reduced engines against \
          the plain ones every round" );
-      ( "--fast",
-        Arg.Set fast,
-        "also cross-check the relaxed work-stealing engine against the \
-         sequential ground truth every round (requires --jobs >= 2)" );
     ]
   in
   Arg.parse args (fun _ -> ()) "fuzz [options]";
   if !jobs < 1 then begin
     prerr_endline "fuzz: --jobs must be >= 1";
-    exit 2
-  end;
-  if !fast && !jobs < 2 then begin
-    prerr_endline "fuzz: --fast requires --jobs N with N >= 2";
     exit 2
   end;
   (* Cumulative wall-clock per engine family, reported every 100 rounds. *)
@@ -269,8 +263,8 @@ let () =
         <> Sched.Explore.safe_and_deadlock_free pair_sys
       then report "par lemma1" round;
       if
-        Deadlock.Prefix_search.find ~jobs:j sys = None
-        <> (Deadlock.Prefix_search.find sys = None)
+        Deadlock.Prefix_search.find ~jobs:j sys
+        <> Deadlock.Prefix_search.find sys
       then report "par prefix search" round;
       (* Telemetry cross-check: both must report the same counter
          totals — [`Deterministic] runs the FIFO policy at every jobs,
@@ -414,28 +408,43 @@ let () =
           report "por counter determinism" round
       end
     end;
-    (* --- relaxed work-stealing engine vs sequential ground truth --- *)
-    if !fast then begin
-      timed "fast" @@ fun () ->
+    (* --- work-stealing engine vs sequential ground truth --- *)
+    if !jobs > 1 then begin
+      timed "ws" @@ fun () ->
       let j = 2 + (round mod (!jobs - 1)) in
       let plain = Sched.Explore.find_deadlock sys in
       (* find_deadlock re-canonicalizes (same contract as --por), so the
          result is byte-identical to the sequential engine's. *)
       if Par.Par_explore.find_deadlock ~mode:`Fast ~jobs:j sys <> plain then
-        report "fast find_deadlock" round;
+        report "ws find_deadlock" round;
+      let text ?max_states ?jobs () =
+        let t, _, _ = Analysis.render_full ?max_states ?jobs sys in
+        t
+      in
+      if text ~jobs:j () <> text () then report "ws analyze bytes" round;
+      (* Near the budget too: an overrun or a witness is settled by FIFO. *)
+      let max_states = 1 + (round mod 40) in
+      if text ~max_states ~jobs:j () <> text ~max_states () then
+        report "ws analyze bytes at a small budget" round;
+      let capped f =
+        match f () with r -> Some r | exception Sched.Explore.Too_large _ -> None
+      in
+      if
+        capped (fun () ->
+            Par.Par_explore.safe_and_deadlock_free ~max_states ~mode:`Fast
+              ~jobs:j pair_sys)
+        <> capped (fun () ->
+               Sched.Explore.safe_and_deadlock_free ~max_states pair_sys)
+      then report "ws lemma1 at a small budget" round;
       if
         Par.Par_explore.state_count
           (Par.Par_explore.explore ~mode:`Fast ~jobs:j sys)
         <> Sched.Explore.state_count (Sched.Explore.explore sys)
-      then report "fast state count" round;
+      then report "ws state count" round;
       if
         Par.Par_explore.safe_and_deadlock_free ~mode:`Fast ~jobs:j pair_sys
         <> Sched.Explore.safe_and_deadlock_free pair_sys
-      then report "fast lemma1" round;
-      if
-        Deadlock.Prefix_search.find ~fast:true ~jobs:j sys = None
-        <> (Deadlock.Prefix_search.find sys = None)
-      then report "fast prefix verdict" round;
+      then report "ws lemma1" round;
       (* The raw relaxed witness (before canonicalization) is whichever
          deadlock a worker reached first: not deterministic, but always a
          legal schedule whose replay ends in its deadlocked endpoint. *)
@@ -443,33 +452,33 @@ let () =
          Par.Par_explore.bfs ~mode:`Fast ~jobs:j sys
            ~found:(Sched.State.is_deadlock sys)
        with
-      | None -> if plain <> None then report "fast bfs verdict" round
+      | None -> if plain <> None then report "ws bfs verdict" round
       | Some (sched, stf) ->
-          if plain = None then report "fast bfs verdict" round
+          if plain = None then report "ws bfs verdict" round
           else if not (Sched.Schedule.is_legal sys sched) then
-            report "fast witness legality" round
+            report "ws witness legality" round
           else if
             not (Sched.State.equal (Sched.Schedule.prefix_vector sys sched) stf)
-          then report "fast witness endpoint" round
+          then report "ws witness endpoint" round
           else if not (Sched.State.is_deadlock sys stf) then
-            report "fast witness deadlock" round);
-      (* Composition: re-canonicalization makes fast+sym / fast+por land
+            report "ws witness deadlock" round);
+      (* Composition: re-canonicalization makes ws+sym / ws+por land
          on the plain sequential result too. *)
       if !symmetry then
         if
           Par.Par_explore.find_deadlock ~mode:`Fast ~symmetry:true ~jobs:j sys
           <> plain
-        then report "fast+sym verdict" round;
+        then report "ws+sym verdict" round;
       if !por then begin
         if
           Par.Par_explore.find_deadlock ~mode:`Fast ~por:true ~jobs:j sys
           <> plain
-        then report "fast+por verdict" round;
+        then report "ws+por verdict" round;
         if
           Par.Par_explore.state_count
             (Par.Par_explore.explore ~mode:`Fast ~por:true ~jobs:j sys)
           > Sched.Explore.state_count (Sched.Explore.explore sys)
-        then report "fast por state-count bound" round
+        then report "ws por state-count bound" round
       end
     end;
     (* --- rw invariants --- *)

@@ -43,19 +43,15 @@ let pp_deadlock_verdict sys ppf = function
         states_explored
 
 let deadlock_free ?(max_states = 500_000) ?(jobs = 1) ?(symmetry = false)
-    ?(por = false) ?(fast = false) sys =
-  Ddlock_par.Par_explore.validate_jobs jobs;
+    ?(por = false) sys =
+  let policy = Kernel.policy_of_jobs jobs in
   match safe_and_deadlock_free sys with
   | Safe_and_deadlock_free -> Deadlock_free
   | _ -> (
       Ddlock_obs.Trace.span "analysis.deadlock_search"
         ~args:[ ("jobs", string_of_int jobs) ]
       @@ fun () ->
-      let mode = if fast then `Fast else `Deterministic in
-      match
-        Ddlock_par.Par_explore.find_deadlock ~max_states ~symmetry ~por ~mode
-          ~jobs sys
-      with
+      match Kernel.find_deadlock ~max_states ~symmetry ~por policy sys with
       | Some (schedule, state) -> Deadlocks { schedule; state }
       | None -> Deadlock_free
       | exception Explore.Too_large n -> Gave_up { states_explored = n })
@@ -72,7 +68,7 @@ type report = {
   deadlock : deadlock_verdict;
 }
 
-let report ?max_states ?jobs ?symmetry ?por ?fast sys =
+let report ?max_states ?jobs ?symmetry ?por sys =
   Ddlock_obs.Trace.span "analysis.report" @@ fun () ->
   let db = System.db sys in
   let g = System.interaction_graph sys in
@@ -93,7 +89,7 @@ let report ?max_states ?jobs ?symmetry ?por ?fast sys =
           acc + 1)
         0 (Ungraph.cycles g);
     safety = safe_and_deadlock_free sys;
-    deadlock = deadlock_free ?max_states ?jobs ?symmetry ?por ?fast sys;
+    deadlock = deadlock_free ?max_states ?jobs ?symmetry ?por sys;
   }
 
 type pair_counterexample = { steps : Step.t list; d_cycle : int list }
@@ -171,8 +167,8 @@ let pp_report sys ppf r =
    analyze] prints on stdout, byte for byte — the CLI prints this
    string verbatim, and the serve daemon caches it, so served verdicts
    stay diffable against the CLI by construction. *)
-let render_full ?max_states ?jobs ?symmetry ?por ?fast sys =
-  let r = report ?max_states ?jobs ?symmetry ?por ?fast sys in
+let render_full ?max_states ?jobs ?symmetry ?por sys =
+  let r = report ?max_states ?jobs ?symmetry ?por sys in
   let buf = Buffer.create 1024 in
   let ppf = Format.formatter_of_buffer buf in
   Format.fprintf ppf "%a@." (pp_report sys) r;

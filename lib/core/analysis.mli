@@ -37,34 +37,33 @@ val pp_deadlock_verdict : System.t -> Format.formatter -> deadlock_verdict -> un
 
 (** [deadlock_free ?max_states ?jobs ?symmetry sys] — first tries the
     polynomial sufficient condition (safe ∧ DF ⇒ DF); otherwise runs the
-    bounded exhaustive Theorem-1 search (the verdict and witness are
-    identical for every [jobs]; see {!Ddlock_par.Par_explore}).  With
-    [~symmetry:true] that search stores one state per orbit of the
+    bounded exhaustive Theorem-1 search ({!Ddlock_schedule.Kernel}).
+    With [~symmetry:true] that search stores one state per orbit of the
     identical-transaction automorphism group ({!Ddlock_schedule.Canon})
     — same verdict, witness valid for the original system, and systems
-    that exhaust the raw budget may fit the reduced one.  Default budget: 500_000 states.  Raises
-    [Invalid_argument] when [jobs < 1].
+    that exhaust the raw budget may fit the reduced one.  Default
+    budget: 500_000 states.  Raises [Invalid_argument] when
+    [jobs < 1].
 
     With [~por:true] the exhaustive search runs over the
-    persistent/sleep-set reduced space ({!Ddlock_schedule.Indep});
-    deadlock witnesses are canonicalized by a plain non-symmetric
-    re-search (see {!Ddlock_schedule.Explore.find_deadlock}), so the
-    verdict {e and} witness are identical to the plain analysis under
-    every [jobs]/[symmetry] combination — only a [Gave_up] budget
-    count can differ (it then reports reduced-search states).
-
-    With [~fast:true] the exhaustive search runs on [jobs] domains under
-    the work-stealing policy ([~mode:`Fast] of {!Ddlock_par.Par_explore})
-    instead of the sequential FIFO one — same witness-canonicalization
-    contract as [~por:true], so the verdict and witness are again
-    identical to the plain analysis (only a [Gave_up] count can
-    differ).  [fast] composes with [symmetry], [por] and any [jobs]. *)
+    persistent/sleep-set reduced space ({!Ddlock_schedule.Indep}).
+    At [jobs >= 2] it runs on [jobs] domains under the work-stealing
+    policy instead of the sequential FIFO one.  Either way deadlock
+    witnesses are canonicalized by a plain sequential re-search (see
+    {!Ddlock_schedule.Explore.find_deadlock}), so the verdict {e and}
+    witness are identical to the plain analysis under every
+    [jobs]/[symmetry]/[por] combination.  [Gave_up] always reports the
+    budget.  Without reductions the verdict is exactly the [jobs = 1]
+    one, budget included: a work-stealing search that overruns the
+    budget or finds a deadlock is replaced by the FIFO search.  Near the
+    budget, a reduced search may find a witness that the plain
+    re-search cannot reach within it (the valid raw witness is then
+    reported), or give up where the plain one would not. *)
 val deadlock_free :
   ?max_states:int ->
   ?jobs:int ->
   ?symmetry:bool ->
   ?por:bool ->
-  ?fast:bool ->
   System.t ->
   deadlock_verdict
 
@@ -83,7 +82,7 @@ type report = {
 }
 
 (** Full analysis: structural statistics plus both verdicts.  [jobs]
-    with [fast] parallelizes the exhaustive deadlock search, [symmetry]
+    [>= 2] parallelizes the exhaustive deadlock search, [symmetry]
     shrinks it to orbit representatives and [por] to a
     persistent/sleep-set reduced space (verdict unchanged any way). *)
 val report :
@@ -91,7 +90,6 @@ val report :
   ?jobs:int ->
   ?symmetry:bool ->
   ?por:bool ->
-  ?fast:bool ->
   System.t ->
   report
 
@@ -109,7 +107,6 @@ val render_full :
   ?jobs:int ->
   ?symmetry:bool ->
   ?por:bool ->
-  ?fast:bool ->
   System.t ->
   string * int * report
 

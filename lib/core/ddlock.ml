@@ -4,7 +4,8 @@
     - {!Model} — schemas, transactions, systems, parser and builder DSL;
     - {!Sched} — schedules, serialization digraphs, exhaustive exploration;
     - {!Deadlock} — reduction graphs, deadlock prefixes, Tirri baseline;
-    - {!Par} — deterministic multicore state-space exploration;
+    - {!Par} — the exploration kernel behind an explicit [jobs]/[mode]
+      interface;
     - {!Safety} — Lemma 2, Theorem 3, minimal-prefix, copies, Theorem 4;
     - {!Conp} — 3SAT′, DPLL, CNF normalization, the Theorem 2 reduction;
     - {!Semantics} — action nodes and Herbrand-term schedule semantics;

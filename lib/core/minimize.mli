@@ -28,16 +28,14 @@ type result = {
     systems keep whatever symmetry they retain).  With [~por:true]
     every re-check is a verdict-only persistent/sleep-set reduced
     search ({!Ddlock_schedule.Indep}) — same core, fewer states per
-    probe.  With [~fast:true] every re-check runs on [jobs] domains
-    under the work-stealing policy ([~mode:`Fast] of
-    {!Ddlock_par.Par_explore}); verdicts are equivalent, so the
-    minimized core is unchanged — the probes are just faster.  Raises [Invalid_argument] when
-    [jobs < 1]. *)
+    probe.  At [jobs >= 2] every re-check runs on [jobs] domains under
+    the work-stealing policy ({!Ddlock_schedule.Kernel}); verdicts are
+    equivalent, so the minimized core is unchanged.  Raises
+    [Invalid_argument] when [jobs < 1]. *)
 val deadlock_core :
   ?max_states:int ->
   ?jobs:int ->
   ?symmetry:bool ->
   ?por:bool ->
-  ?fast:bool ->
   System.t ->
   result option

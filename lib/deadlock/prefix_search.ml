@@ -21,32 +21,31 @@ let cyclic sys st = Reduction.has_cycle (Reduction.make sys st)
    already translated to the original system, and the cycle is
    recomputed on that real prefix.  With [~por:true] the search is sound
    because the persistent/sleep-set reduction preserves every reachable
-   deadlock state. *)
-let find ?max_states ?(jobs = 1) ?(symmetry = false) ?(por = false)
-    ?(fast = false) sys =
+   deadlock state.  At [jobs >= 2] work stealing settles only "no
+   deadlock prefix" ({!Kernel.settled}). *)
+let find ?max_states ?(jobs = 1) ?(symmetry = false) ?(por = false) sys =
   Obs_t.span "prefix_search.find" @@ fun () ->
-  let mode = if fast then `Fast else `Deterministic in
+  let bfs policy =
+    Kernel.bfs ?max_states ~symmetry ~por policy sys ~found:(cyclic sys)
+  in
   let r =
     Option.map
       (fun (schedule, prefix) ->
         let cycle = Option.get (Reduction.find_cycle (Reduction.make sys prefix)) in
         { prefix; schedule; cycle })
-      (Ddlock_par.Par_explore.bfs ?max_states ~symmetry ~por ~mode ~jobs sys
-         ~found:(cyclic sys))
+      (Kernel.settled (Kernel.policy_of_jobs jobs) bfs)
   in
   if r <> None then Ddlock_obs.Metrics.Counter.incr obs_prefix_witnesses;
   r
 
-let deadlock_free ?max_states ?jobs ?symmetry ?por ?fast sys =
-  find ?max_states ?jobs ?symmetry ?por ?fast sys = None
+let deadlock_free ?max_states ?jobs ?symmetry ?por sys =
+  find ?max_states ?jobs ?symmetry ?por sys = None
 
 (* With [~por:true] the cyclic states of the reduced space: a subset of
    the plain result, nonempty iff the plain result is (Theorem 1
    again). *)
-let all ?max_states ?(jobs = 1) ?(symmetry = false) ?(por = false)
-    ?(fast = false) sys =
-  let mode = if fast then `Fast else `Deterministic in
+let all ?max_states ?(jobs = 1) ?(symmetry = false) ?(por = false) sys =
   let sp =
-    Ddlock_par.Par_explore.explore ?max_states ~symmetry ~por ~mode ~jobs sys
+    Kernel.explore ?max_states ~symmetry ~por (Kernel.policy_of_jobs jobs) sys
   in
-  Seq.filter (cyclic sys) (Ddlock_par.Par_explore.states sp)
+  Seq.filter (cyclic sys) (Kernel.states sp)

@@ -16,10 +16,16 @@ type witness = {
 
 (** The first deadlock prefix in BFS insertion order (hence of minimal
     depth), with a schedule realizing it.  The search runs on the
-    exploration kernel ({!Ddlock_par.Par_explore}) and evaluates the
+    exploration kernel ({!Ddlock_schedule.Kernel}) and evaluates the
     reduction-graph predicate on each state as it is discovered, so it
-    stops at the first hit.  The witness is the same for every [jobs].
-    Raises [Invalid_argument] when [jobs < 1].
+    stops at the first hit.  At [jobs >= 2] the search runs on the
+    work-stealing policy over [jobs] domains, and any answer but
+    "none" (a witness, or a budget overrun) is replaced by one
+    sequential FIFO re-search under the same [symmetry]/[por] flags, so
+    the result is the [jobs = 1] one.  (Under [~por:true] the reduced
+    set depends on the worker races, so a work-stealing "none" may hold
+    where the FIFO reduced search would overrun the budget.)  Raises
+    [Invalid_argument] when [jobs < 1].
 
     With [~symmetry:true] the search runs over orbit representatives of
     the identical-transaction automorphism group (sound because the
@@ -33,19 +39,12 @@ type witness = {
     and the reduction preserves every reachable deadlock state.  The
     verdict is identical to plain; the witness is the first cyclic
     prefix in the {e reduced} BFS order (valid, but possibly a
-    different prefix than the plain search returns).
-
-    With [~fast:true] the search runs on the work-stealing policy
-    ([~mode:`Fast] of {!Ddlock_par.Par_explore}) for any [jobs]
-    (including 1).  The verdict is identical to plain; the witness is
-    whichever cyclic prefix a worker reached first — valid, but not
-    deterministic across runs. *)
+    different prefix than the plain search returns). *)
 val find :
   ?max_states:int ->
   ?jobs:int ->
   ?symmetry:bool ->
   ?por:bool ->
-  ?fast:bool ->
   System.t ->
   witness option
 
@@ -59,22 +58,20 @@ val deadlock_free :
   ?jobs:int ->
   ?symmetry:bool ->
   ?por:bool ->
-  ?fast:bool ->
   System.t ->
   bool
 
-(** All deadlock prefixes (reachable states with cyclic R), in BFS
-    discovery order for every [jobs]; with [~symmetry:true] one
-    representative per deadlock-prefix orbit; with [~por:true] the
-    cyclic states of the reduced space — a subset of the plain result
-    that is nonempty iff the plain result is.  With [~fast:true] the
-    same state {e set} in shard order (or a valid reduced set, under
-    [~por:true]). *)
+(** All deadlock prefixes (reachable states with cyclic R): in BFS
+    discovery order at [jobs = 1], the same state set in shard order at
+    [jobs >= 2]; with [~symmetry:true] one representative per
+    deadlock-prefix orbit; with [~por:true] the cyclic states of the
+    reduced space — a subset of the plain result that is nonempty iff
+    the plain result is (at [jobs >= 2], a valid reduced set that
+    depends on the worker races). *)
 val all :
   ?max_states:int ->
   ?jobs:int ->
   ?symmetry:bool ->
   ?por:bool ->
-  ?fast:bool ->
   System.t ->
   State.t Seq.t

@@ -4,15 +4,14 @@ open Ddlock_schedule
    [`Deterministic] runs its FIFO policy at any [jobs], [`Fast] its
    work-stealing policy on [jobs] domains. *)
 
-let validate_jobs jobs =
-  if jobs < 1 then
-    invalid_arg (Printf.sprintf "jobs must be >= 1 (got %d)" jobs)
-
 type mode = [ `Deterministic | `Fast ]
 
+(* [Kernel.policy_of_jobs] validates [jobs]; [`Fast] runs work stealing
+   even on one domain. *)
 let policy mode jobs =
-  validate_jobs jobs;
-  match mode with `Deterministic -> Kernel.Fifo | `Fast -> Kernel.Work_stealing jobs
+  match (mode, Kernel.policy_of_jobs jobs) with
+  | `Deterministic, _ -> Kernel.Fifo
+  | `Fast, _ -> Kernel.Work_stealing jobs
 
 type space = { space : Kernel.space; jobs : int }
 

@@ -15,9 +15,6 @@ open Ddlock_schedule
     All functions raise [Invalid_argument] when [jobs < 1] and
     {!Ddlock_schedule.Explore.Too_large} on budget exhaustion. *)
 
-(** Raises [Invalid_argument] when [jobs < 1]. *)
-val validate_jobs : int -> unit
-
 (** Exploration mode.
 
     [`Deterministic] (the default) is the FIFO policy: sequential BFS
@@ -35,18 +32,18 @@ val validate_jobs : int -> unit
        [safe], budget-free [bfs = None]) coincide;}
     {- {e witness validity} — any returned schedule is a real path
        from the initial state to a state satisfying the goal;}
-    {- {e cap soundness} — [Explore.Too_large n] is raised {e iff} the
+    {- {e cap} — [Explore.Too_large n] is raised {e iff} the
        reachable set (truncated at the stop point) exceeds
-       [max_states]; the carried [n >= max_states] may overshoot by
-       the work in flight, never undershoot.}}
+       [max_states], and [n] is the count the FIFO policy reports.}}
     Relaxed: discovery order, {e which} witness is found, and the
     [par.steals]/[par.intern_hits]/[par.arena_reuse] counters (racy by
-    nature).  [find_deadlock]/[safe]/[safe_and_deadlock_free]
-    re-canonicalize positive verdicts with a plain FIFO re-search —
-    exactly the [--por] contract — so their output stays byte-identical
-    to [`Deterministic] on every workload whose re-search fits the
-    budget.  Composes with [?symmetry], [?por] and {!Ddlock_obs.Cancel}
-    deadlines (worker 0 runs in the calling domain and polls). *)
+    nature).  [find_deadlock]/[safe]/[safe_and_deadlock_free] replace
+    positive answers and budget overruns with a FIFO re-search, so
+    without [?symmetry]/[?por] their output is that of
+    [`Deterministic], budget included (with a reduction, as under
+    {!Explore.find_deadlock}).  Composes with [?symmetry], [?por] and
+    {!Ddlock_obs.Cancel} deadlines (worker 0 runs in the calling domain
+    and polls). *)
 type mode = [ `Deterministic | `Fast ]
 
 (** {1 Full state space} *)
@@ -118,11 +115,13 @@ val bfs :
   found:(State.t -> bool) ->
   (Step.t list * State.t) option
 
-(** With [~por:true] or [~mode:`Fast], verdict from the reduced or
-    relaxed search and witness from a plain sequential re-search —
-    byte-identical to the sequential [find_deadlock] for every [jobs]
-    (falling back to the valid raw witness when the re-search exceeds
-    the budget). *)
+(** With [~symmetry:true], [~por:true] or [~mode:`Fast], verdict from
+    the reduced or relaxed search and witness from a plain sequential
+    re-search (as {!Explore.find_deadlock}) — byte-identical to the
+    sequential [find_deadlock] for every [jobs] (after a reduced
+    search, the valid raw witness stands when the re-search exceeds the
+    budget).  A [`Fast] search that overruns the budget runs again
+    under FIFO. *)
 val find_deadlock :
   ?max_states:int ->
   ?symmetry:bool ->

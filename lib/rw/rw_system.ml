@@ -24,11 +24,6 @@ let to_exclusive t =
 
 type step = Ddlock_schedule.Step.t = { txn : int; node : int }
 
-let step_to_string sys s =
-  Printf.sprintf "%s^%d"
-    (Rw_txn.node_to_string sys.db (Rw_txn.node sys.txns.(s.txn) s.node))
-    (s.txn + 1)
-
 type state = Bitset.t array
 
 let initial sys = Array.map Rw_txn.empty_prefix sys.txns
@@ -103,53 +98,26 @@ let is_deadlock sys st =
     sys.txns;
   !some_unfinished && !ok
 
-exception Too_large of int
+module Kernel = Ddlock_schedule.Kernel
 
-let key st =
-  let buf = Buffer.create 64 in
-  Array.iter
-    (fun s ->
-      Bitset.iter (fun i -> Buffer.add_string buf (string_of_int i ^ ",")) s;
-      Buffer.add_char buf '|')
-    st;
-  Buffer.contents buf
+exception Too_large = Kernel.Too_large
 
-let bfs ?(max_states = 2_000_000) sys ~found =
-  let table = Hashtbl.create 1024 in
-  let q = Queue.create () in
-  let init = initial sys in
-  Hashtbl.replace table (key init) ();
-  Queue.push (init, []) q;
-  let result = ref None in
-  (try
-     if found init then begin
-       result := Some ([], init);
-       raise Exit
-     end;
-     while not (Queue.is_empty q) do
-       let st, rev = Queue.pop q in
-       List.iter
-         (fun s ->
-           let st' = apply st s in
-           let k = key st' in
-           if not (Hashtbl.mem table k) then begin
-             if Hashtbl.length table >= max_states then
-               raise (Too_large (Hashtbl.length table));
-             Hashtbl.replace table k ();
-             let rev' = s :: rev in
-             if found st' then begin
-               result := Some (List.rev rev', st');
-               raise Exit
-             end;
-             Queue.push (st', rev') q
-           end)
-         (enabled sys st)
-     done
-   with Exit -> ());
-  !result
+(* The schedule state space as a kernel successor function: a state is
+   a prefix vector, like an exclusive-model {!Ddlock_schedule.State.t},
+   so it shares that module's hash and equality. *)
+let succ sys =
+  {
+    Kernel.hash = Ddlock_schedule.State.hash;
+    equal = Ddlock_schedule.State.equal;
+    covering = false;
+    expand =
+      (fun st _ emit ->
+        List.iter (fun s -> emit s (apply st s) false []) (enabled sys st));
+  }
 
 let find_deadlock ?max_states sys =
-  bfs ?max_states sys ~found:(fun st -> is_deadlock sys st)
+  Kernel.search ?max_states Fifo (succ sys) (initial sys)
+    ~found:(is_deadlock sys)
 
 let deadlock_free ?max_states sys = find_deadlock ?max_states sys = None
 
@@ -186,74 +154,40 @@ let conflict_graph sys steps =
 let is_conflict_serializable sys steps =
   Topo.is_acyclic (conflict_graph sys steps)
 
-(* Exhaustive safety: explore (state, accumulated conflict arcs); judge
-   acyclicity at complete states.  Arcs are added when a Lock executes:
-   one arc i -> k for every conflicting accessor k that has not locked
-   the entity yet (on complete schedules this is exactly the conflict
-   graph). *)
-module Edge_set = Set.Make (struct
-  type t = int * int
+(* Exhaustive safety: explore (state, accumulated conflict arcs) nodes;
+   judge acyclicity at complete states.  Arcs are added when a Lock
+   executes: one arc i -> k for every conflicting accessor k that has not
+   locked the entity yet (on complete schedules this is exactly the
+   conflict graph). *)
+let conflict_arcs sys st (s : step) =
+  let nd = Rw_txn.node sys.txns.(s.txn) s.node in
+  match nd.Rw_txn.op with
+  | Rw_txn.Unlock -> []
+  | Rw_txn.Lock _ ->
+      let e = nd.Rw_txn.entity in
+      List.filter_map
+        (fun k ->
+          if
+            k <> s.txn
+            && Rw_txn.accesses sys.txns.(k) e
+            && conflicting sys s.txn k e
+            && not (Bitset.mem st.(k) (Rw_txn.lock_node_exn sys.txns.(k) e))
+          then Some (s.txn, k)
+          else None)
+        (List.init (size sys) Fun.id)
 
-  let compare = compare
-end)
-
-let safe ?(max_states = 2_000_000) sys =
-  let table = Hashtbl.create 1024 in
-  let q = Queue.create () in
-  let init = initial sys in
-  let ekey es =
-    String.concat ";"
-      (List.map (fun (a, b) -> Printf.sprintf "%d-%d" a b) (Edge_set.elements es))
-  in
-  let kk st es = key st ^ "#" ^ ekey es in
-  Hashtbl.replace table (kk init Edge_set.empty) ();
-  Queue.push (init, Edge_set.empty, []) q;
-  let result = ref (Ok ()) in
-  (try
-     while not (Queue.is_empty q) do
-       let st, es, rev = Queue.pop q in
-       List.iter
-         (fun (s : step) ->
-           let nd = Rw_txn.node sys.txns.(s.txn) s.node in
-           let es' =
-             match nd.Rw_txn.op with
-             | Rw_txn.Unlock -> es
-             | Rw_txn.Lock _ ->
-                 let e = nd.Rw_txn.entity in
-                 let acc = ref es in
-                 for k = 0 to size sys - 1 do
-                   if
-                     k <> s.txn
-                     && Rw_txn.accesses sys.txns.(k) e
-                     && conflicting sys s.txn k e
-                     && not
-                          (Bitset.mem st.(k) (Rw_txn.lock_node_exn sys.txns.(k) e))
-                   then acc := Edge_set.add (s.txn, k) !acc
-                 done;
-                 !acc
-           in
-           let st' = apply st s in
-           let k' = kk st' es' in
-           if not (Hashtbl.mem table k') then begin
-             if Hashtbl.length table >= max_states then
-               raise (Too_large (Hashtbl.length table));
-             Hashtbl.replace table k' ();
-             let rev' = s :: rev in
-             if
-               all_finished sys st'
-               && not
-                    (Topo.is_acyclic
-                       (Digraph.create (size sys) (Edge_set.elements es')))
-             then begin
-               result := Error (List.rev rev');
-               raise Exit
-             end;
-             Queue.push (st', es', rev') q
-           end)
-         (enabled sys st)
-     done
-   with Exit -> ());
-  !result
+let safe ?max_states sys =
+  let n = size sys in
+  match
+    Kernel.search ?max_states Fifo
+      (Kernel.arc_succ ~n ~enabled:(enabled sys)
+         ~arcs_of_step:(conflict_arcs sys))
+      (Kernel.arc_root ~n (initial sys))
+      ~found:(fun x ->
+        all_finished sys x.Kernel.st && Kernel.arc_cycle ~n x <> None)
+  with
+  | None -> Ok ()
+  | Some (steps, _) -> Error steps
 
 type run = Completed of step list | Deadlocked of step list
 

@@ -19,8 +19,6 @@ val to_exclusive : t -> System.t
 
 type step = Ddlock_schedule.Step.t = { txn : int; node : int }
 
-val step_to_string : t -> step -> string
-
 type state = Bitset.t array
 
 val initial : t -> state
@@ -40,8 +38,15 @@ val all_finished : t -> state -> bool
     minimal remaining nodes are all incompatible Locks. *)
 val is_deadlock : t -> state -> bool
 
-(** {1 Exhaustive analysis} *)
+(** {1 Exhaustive analysis}
 
+    Both searches run on the exploration kernel
+    ({!Ddlock_schedule.Kernel}) under its FIFO policy: the first hit in
+    BFS order, reached by a shortest schedule.  Default budget:
+    {!Ddlock_schedule.Kernel.default_cap} nodes. *)
+
+(** The kernel's {!Ddlock_schedule.Kernel.Too_large}: a search that
+    would hold more than [max_states] nodes raises [Too_large max_states]. *)
 exception Too_large of int
 
 (** Reachable deadlock state with a witness step sequence. *)
@@ -56,7 +61,9 @@ val conflict_graph : t -> step list -> Digraph.t
 val is_conflict_serializable : t -> step list -> bool
 
 (** Safety: every complete schedule is conflict-serializable.  [Error]
-    returns a non-serializable complete schedule. *)
+    returns a non-serializable complete schedule.  The search runs over
+    (state, accumulated conflict arcs) nodes, so its budget counts
+    those. *)
 val safe : ?max_states:int -> t -> (unit, step list) result
 
 (** Uniformly-random run (for statistical checks). *)

@@ -102,7 +102,8 @@ val bfs :
 
 (** First deadlock state found, with a partial schedule reaching it.
 
-    With [~por:true] the verdict comes from the reduced search; on a
+    With [~por:true], or [~symmetry:true] on a system with a nontrivial
+    automorphism group, the verdict comes from the reduced search; on a
     positive verdict the witness is canonicalized by re-running the
     plain non-symmetric engine, so the result is byte-identical to the
     plain [find_deadlock] under every flag combination (falling back
@@ -115,8 +116,8 @@ val find_deadlock :
   System.t ->
   (Step.t list * State.t) option
 
-(** [deadlock_free ?por] — verdict only; with [~por:true] a single
-    reduced search (no witness canonicalization cost). *)
+(** [deadlock_free] — verdict only: a single search under the given
+    flags (no witness canonicalization cost). *)
 val deadlock_free :
   ?max_states:int -> ?symmetry:bool -> ?por:bool -> System.t -> bool
 

@@ -46,15 +46,8 @@ end
 
 (* ------------------------ successor functions ---------------------- *)
 
-(* A successor function over nodes of type ['n]: [expand node sleep
-   emit] calls [emit step node' moved sleep'] once per successor, in the
-   canonical ({!State.enabled}) order.  [moved] says whether symmetry
-   canonicalization changed the successor (telemetry only); [sleep] and
-   [sleep'] are partial-order-reduction sleep sets, [[]] elsewhere.
-   With [covering] set, re-arriving at a stored node with a sleep set
-   that does not cover the stored one shrinks the stored set to the
-   intersection and re-expands the node (Godefroid's covering rule), so
-   sleeping never suppresses the only path into a deadlock. *)
+(* Successor functions (see kernel.mli); the state searches emit in the
+   canonical ({!State.enabled}) order. *)
 type 'n succ = {
   hash : 'n -> int;
   equal : 'n -> 'n -> bool;
@@ -109,58 +102,52 @@ let reduced canon sys =
           exp.Indep.succs);
   }
 
-(* The Lemma-1 extended node: a prefix vector plus the accumulated
-   D-arcs, a monotone function of the executed lock steps and their
-   order.  Arc [a -> b] is bit [a * n + b] of an n²-bit set; a step that
-   adds no arc shares its parent's set. *)
-module Lemma1 = struct
-  type node = { st : State.t; arcs : Bitset.t }
+(* Nodes pairing a prefix vector with the arcs accumulated on the path to
+   it; see kernel.mli. *)
+type arc_node = { st : State.t; arcs : Bitset.t }
 
-  let initial sys =
-    let n = System.size sys in
-    { st = State.initial sys; arcs = Bitset.create (n * n) }
+let arc_root ~n st = { st; arcs = Bitset.create (n * n) }
 
-  let d_arcs_of_step sys st (step : Step.t) =
-    let tx = System.txn sys step.txn in
-    let nd = Transaction.node tx step.node in
-    match nd.Node.op with
-    | Node.Unlock -> []
-    | Node.Lock ->
-        Dgraph.arcs_added_by_lock sys
-          ~locked_before:(fun k ->
-            match Transaction.lock_node (System.txn sys k) nd.entity with
-            | None -> false
-            | Some l -> Bitset.mem st.(k) l)
-          step.txn nd.entity
+let arc_succ ~n ~enabled ~arcs_of_step =
+  {
+    hash = (fun x -> (State.hash x.st * 65599) + Bitset.hash x.arcs);
+    equal = (fun a b -> State.equal a.st b.st && Bitset.equal a.arcs b.arcs);
+    covering = false;
+    expand =
+      (fun x _ emit ->
+        List.iter
+          (fun step ->
+            let arcs =
+              match arcs_of_step x.st step with
+              | [] -> x.arcs
+              | added ->
+                  let a = Bitset.copy x.arcs in
+                  List.iter (fun (i, j) -> Bitset.set a ((i * n) + j)) added;
+                  a
+            in
+            emit step { st = State.apply x.st step; arcs } false [])
+          (enabled x.st));
+  }
 
-  let succ sys =
-    let n = System.size sys in
-    {
-      hash = (fun x -> (State.hash x.st * 65599) + Bitset.hash x.arcs);
-      equal = (fun a b -> State.equal a.st b.st && Bitset.equal a.arcs b.arcs);
-      covering = false;
-      expand =
-        (fun x _ emit ->
-          List.iter
-            (fun step ->
-              let arcs =
-                match d_arcs_of_step sys x.st step with
-                | [] -> x.arcs
-                | added ->
-                    let a = Bitset.copy x.arcs in
-                    List.iter (fun (i, j) -> Bitset.set a ((i * n) + j)) added;
-                    a
-              in
-              emit step { st = State.apply x.st step; arcs } false [])
-            (State.enabled sys x.st));
-    }
+let arc_cycle ~n x =
+  Topo.find_cycle
+    (Digraph.create n
+       (List.map (fun k -> (k / n, k mod n)) (Bitset.to_list x.arcs)))
 
-  let cycle sys x =
-    let n = System.size sys in
-    Topo.find_cycle
-      (Digraph.create n
-         (List.map (fun k -> (k / n, k mod n)) (Bitset.to_list x.arcs)))
-end
+(* The arcs of the Lemma-1 node: the D-arcs a step adds, a monotone
+   function of the executed lock steps and their order. *)
+let d_arcs_of_step sys st (step : Step.t) =
+  let tx = System.txn sys step.txn in
+  let nd = Transaction.node tx step.node in
+  match nd.Node.op with
+  | Node.Unlock -> []
+  | Node.Lock ->
+      Dgraph.arcs_added_by_lock sys
+        ~locked_before:(fun k ->
+          match Transaction.lock_node (System.txn sys k) nd.entity with
+          | None -> false
+          | Some l -> Bitset.mem st.(k) l)
+        step.txn nd.entity
 
 (* --------------------------- visited set --------------------------- *)
 
@@ -251,6 +238,12 @@ let nodes v =
 
 type policy = Fifo | Work_stealing of int
 
+let policy_of_jobs jobs =
+  if jobs < 1 then
+    invalid_arg (Printf.sprintf "jobs must be >= 1 (got %d)" jobs)
+  else if jobs = 1 then Fifo
+  else Work_stealing jobs
+
 (* Exact cap: a search may hold at most [max_states] nodes; discovering
    one more raises [Too_large] with the number already held.  The check
    covers the initial node too.  The cancellation poll rides the same
@@ -319,11 +312,12 @@ let ws_shards = 64
    Termination: [pending] counts queued-but-unfinished work items, so an
    empty deque with [pending = 0] means the search is drained.  Any
    worker that finds a witness CASes its id into [witness] and raises
-   [stop]; the cap works the same way, so it can overshoot by the work
-   in flight but never undershoot.  Worker 0 runs in the calling domain,
-   where it polls {!Ddlock_obs.Cancel} (the poll slot is domain-local),
-   raises [stop] on cancellation and re-raises after joining the other
-   domains. *)
+   [stop]; the cap works the same way.  Workers may intern a few nodes
+   past the cap before they see [stop], so [Too_large] carries the
+   budget, which is the count the FIFO policy holds when it raises.
+   Worker 0 runs in the calling domain, where it polls
+   {!Ddlock_obs.Cancel} (the poll slot is domain-local), raises [stop] on
+   cancellation and re-raises after joining the other domains. *)
 let work_stealing ~jobs ~max_states ~restrict ~found v init =
   if max_states < 1 then raise (Too_large 0);
   let s0 = shard_of v init in
@@ -434,15 +428,15 @@ let work_stealing ~jobs ~max_states ~restrict ~found v init =
       (Array.fold_left (fun a d -> a + Ws_deque.reuses d) 0 deques);
     let w = Atomic.get witness in
     if w >= 0 then Some w
-    else if Atomic.get overflow then raise (Too_large (Atomic.get total))
+    else if Atomic.get overflow then raise (Too_large max_states)
     else None
   end
 
 (* The kernel: one search of the space [succ] spans from [init], under
    [policy].  Returns the visited set and the first [found] node. *)
-let search ~max_states ~restrict ~found policy succ init =
+let search_space ~max_states ~restrict ~found policy succ init =
   Ddlock_obs.Metrics.Counter.incr Obs.searches;
-  let name, shards, run =
+  let name, shards, go =
     match policy with
     | Fifo -> ("explore.fifo", 1, fifo)
     | Work_stealing jobs ->
@@ -450,8 +444,13 @@ let search ~max_states ~restrict ~found policy succ init =
   in
   Obs.T.span name @@ fun () ->
   let v = visited_create succ shards in
-  let w = run ~max_states ~restrict ~found v init in
+  let w = go ~max_states ~restrict ~found v init in
   (v, Option.map (fun g -> (path v g, node v g)) w)
+
+let search ?(max_states = default_cap) policy succ init ~found =
+  snd
+    (search_space ~max_states ~restrict:(fun _ -> true) ~found policy succ
+       init)
 
 (* -------------------------- state spaces --------------------------- *)
 
@@ -482,7 +481,7 @@ let state_search ?(max_states = default_cap) ?(restrict = fun _ -> true)
     | None -> State.initial sys
     | Some c -> fst (Canon.normalize c (State.initial sys))
   in
-  (canon, search ~max_states ~restrict ~found policy succ init)
+  (canon, search_space ~max_states ~restrict ~found policy succ init)
 
 type space = { sys : System.t; canon : Canon.t option; visited : State.t visited }
 
@@ -513,31 +512,58 @@ let schedule_to sp st =
 
 (* With a canonicalizer active, [found] and [restrict] see orbit
    representatives (both must be invariant under the group); the
-   witness is translated back to the original system on the way out. *)
-let bfs ?max_states ?restrict ?symmetry ?por policy sys ~found =
-  match state_search ?max_states ?restrict ?symmetry ?por policy sys ~found with
-  | _, (_, None) -> None
-  | None, (_, w) -> w
-  | Some c, (_, Some (steps, _)) -> Some (Canon.realize c steps)
+   witness is translated back to the original system on the way out.
+   The flag says whether one was active. *)
+let goal_search ?max_states ?restrict ?symmetry ?por policy sys ~found =
+  let canon, (_, w) =
+    state_search ?max_states ?restrict ?symmetry ?por policy sys ~found
+  in
+  ( canon <> None,
+    match (canon, w) with
+    | Some c, Some (steps, _) -> Some (Canon.realize c steps)
+    | _ -> w )
 
-(* Witness canonicalization, shared by POR and work stealing: their
-   verdict stands, but the witness comes from a plain FIFO re-search,
-   so output is byte-identical to plain search under every option.  When
-   the re-search exceeds the budget the raw witness (valid, just not
-   BFS-minimal) is kept. *)
+let bfs ?max_states ?restrict ?symmetry ?por policy sys ~found =
+  snd (goal_search ?max_states ?restrict ?symmetry ?por policy sys ~found)
+
+(* Witness canonicalization for the reduced searches (symmetry, POR),
+   under either policy: their verdict stands, but the witness comes from
+   a plain FIFO re-search, so output is byte-identical to plain search
+   under every option.  When the re-search exceeds the budget the raw
+   witness (valid, just not BFS-minimal) is kept. *)
 let canonical ~rerun raw =
   match rerun () with
   | Some w -> Some w
   | None -> Some raw
   | exception Too_large _ -> Some raw
 
+(* Work stealing may overrun the budget where FIFO reaches a deadlock
+   within it (the workers dive past shallow states), so its overflow is
+   not an answer: the same search runs again under FIFO.  [settled] also
+   replaces a work-stealing hit by the FIFO answer, so only "none" is
+   settled by work stealing and the answer is exactly the [Fifo] one. *)
+let or_fifo policy search =
+  match search policy with
+  | r -> (policy, r)
+  | exception Too_large _ when policy <> Fifo -> (Fifo, search Fifo)
+
+let settled policy search =
+  match or_fifo policy search with
+  | ran, Some _ when ran <> Fifo -> search Fifo
+  | _, r -> r
+
 let find_deadlock ?max_states ?symmetry ?(por = false) policy sys =
   let dead st = State.is_deadlock sys st in
+  let ran, (quotient, w) =
+    or_fifo policy (fun p ->
+        goal_search ?max_states ?symmetry ~por p sys ~found:dead)
+  in
+  let plain () = bfs ?max_states Fifo sys ~found:dead in
   let r =
-    match bfs ?max_states ?symmetry ~por policy sys ~found:dead with
-    | Some raw when por || policy <> Fifo ->
-        canonical raw ~rerun:(fun () -> bfs ?max_states Fifo sys ~found:dead)
-    | r -> r
+    match w with
+    | Some raw when quotient || por -> canonical raw ~rerun:plain
+    | Some _ when ran <> Fifo -> plain ()
+    | w -> w
   in
   if r <> None then begin
     Ddlock_obs.Metrics.Counter.incr Obs.deadlock_witnesses;
@@ -545,28 +571,29 @@ let find_deadlock ?max_states ?symmetry ?(por = false) policy sys =
   end;
   r
 
-(* Verdict only: reduced or relaxed searches skip the witness
-   re-search. *)
-let deadlock_free ?max_states ?symmetry ?(por = false) policy sys =
-  if por || policy <> Fifo then
-    bfs ?max_states ?symmetry ~por policy sys ~found:(State.is_deadlock sys)
-    = None
-  else find_deadlock ?max_states ?symmetry policy sys = None
+(* Verdict only: no witness, hence no re-search unless work stealing
+   overran the budget. *)
+let deadlock_free ?max_states ?symmetry ?por policy sys =
+  snd
+    (or_fifo policy (fun p ->
+         bfs ?max_states ?symmetry ?por p sys ~found:(State.is_deadlock sys)))
+  = None
 
 let lemma1 ?(max_states = default_cap) policy sys ~report =
+  let n = System.size sys in
   let found x =
     (match report with
     | `All_cyclic -> true
-    | `Complete_cyclic -> State.all_finished sys x.Lemma1.st)
-    && Lemma1.cycle sys x <> None
+    | `Complete_cyclic -> State.all_finished sys x.st)
+    && arc_cycle ~n x <> None
   in
   let run policy =
     Option.map
-      (fun (steps, x) -> (steps, Option.get (Lemma1.cycle sys x)))
-      (snd
-         (search ~max_states ~restrict:(fun _ -> true) ~found policy
-            (Lemma1.succ sys) (Lemma1.initial sys)))
+      (fun (steps, x) -> (steps, Option.get (arc_cycle ~n x)))
+      (search ~max_states policy
+         (arc_succ ~n ~enabled:(State.enabled sys)
+            ~arcs_of_step:(d_arcs_of_step sys))
+         (arc_root ~n (State.initial sys))
+         ~found)
   in
-  match run policy with
-  | Some raw when policy <> Fifo -> canonical raw ~rerun:(fun () -> run Fifo)
-  | r -> r
+  settled policy run

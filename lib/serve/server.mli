@@ -19,11 +19,11 @@
       in-flight requests finish and reply, queued jobs run, worker
       domains join, the socket file is unlinked.
 
-    Deadlines bound every search.  The sequential FIFO search runs in
-    the worker's own domain, where the deadline poll is installed;
-    deadlined multi-domain requests default to the work-stealing policy
-    ([fast_under_pressure]), whose coordinating worker runs in the
-    polling domain and broadcasts cancellation to the others. *)
+    Deadlines bound every search.  At [jobs = 1] the sequential FIFO
+    search runs in the worker's own domain, where the deadline poll is
+    installed; at [jobs >= 2] the work-stealing search's coordinating
+    worker runs in that domain and broadcasts cancellation to the
+    others. *)
 
 type config = {
   socket_path : string;
@@ -34,11 +34,10 @@ type config = {
   default_max_states : int option;
       (** when the request names none; [None] = analysis default *)
   default_deadline_ms : int option;  (** when the request names none *)
-  jobs : int;  (** worker domains {e per analysis} (see above) *)
-  fast_under_pressure : bool;
-      (** deadlined requests with [jobs > 1] use the relaxed
-          work-stealing engine — same rendered bytes, real speedup,
-          and deadline polls reach the search (see above) *)
+  jobs : int;
+      (** worker domains {e per analysis}: [1] runs the sequential
+          search, [>= 2] the work-stealing one (same rendered bytes,
+          see {!Ddlock.Analysis.deadlock_free}) *)
   idle_timeout_ms : int;  (** per-read deadline (slowloris guard) *)
   busy_retry_ms : int;  (** retry hint sent with [busy] *)
   flight_cap : int;  (** flight-recorder ring: last N request summaries *)
@@ -50,7 +49,7 @@ type config = {
 
 val default_config : socket_path:string -> config
 (** 2 workers, queue 16, cache 128, 1 MiB bodies, no default deadline,
-    [jobs = 1], fast-under-pressure on, 5 s idle timeout, 100 ms retry
+    [jobs = 1], 5 s idle timeout, 100 ms retry
     hint, flight ring 256, trace rings 64, slow threshold 250 ms. *)
 
 type t

@@ -87,8 +87,6 @@ let rec past_windows ws ~site ~now =
   | Some w -> past_windows ws ~site ~now:w.until_t
   | None -> now
 
-let up_at t ~site ~now = past_windows t.plan.crashes ~site ~now
-
 let deliver t ~site ~now ~transit =
   let p = t.plan in
   (* Each send attempt before the horizon may be lost; a loss is noticed

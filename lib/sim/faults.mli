@@ -86,7 +86,3 @@ val deliver : t -> site:Db.site -> now:float -> transit:float -> float
 (** [duplicated t ~now] — should a lock request sent at [now] be
     delivered twice?  Always [false] at or past the horizon. *)
 val duplicated : t -> now:float -> bool
-
-(** [up_at t ~site ~now] is the earliest time [>= now] at which [site]
-    is not inside a crash window. *)
-val up_at : t -> site:Db.site -> now:float -> float

@@ -208,9 +208,9 @@ let test_fast_cap_never_undercounts () =
 let test_fast_prefix_and_minimize () =
   let sys = fig2ish () in
   check bool_t "prefix verdict" true
-    (Prefix_search.deadlock_free ~fast:true ~jobs:2 sys
+    (Prefix_search.deadlock_free ~jobs:2 sys
     = Prefix_search.deadlock_free sys);
-  (match Prefix_search.find ~fast:true ~jobs:2 sys with
+  (match Prefix_search.find ~jobs:2 sys with
   | None -> Alcotest.fail "fig2ish must have a deadlock prefix"
   | Some w ->
       check bool_t "schedule legal" true
@@ -224,12 +224,12 @@ let test_fast_prefix_and_minimize () =
   check bool_t "all ~fast finds the same set" true
     (List.sort compare
        (List.map State.key
-          (List.of_seq (Prefix_search.all ~fast:true ~jobs:2 sys)))
+          (List.of_seq (Prefix_search.all ~jobs:2 sys)))
     = List.sort compare
         (List.map State.key (List.of_seq (Prefix_search.all sys))));
   match
     ( Ddlock.Minimize.deadlock_core sys,
-      Ddlock.Minimize.deadlock_core ~fast:true ~jobs:2 sys )
+      Ddlock.Minimize.deadlock_core ~jobs:2 sys )
   with
   | Some a, Some b ->
       check bool_t "same minimized core" true

@@ -147,14 +147,17 @@ let test_read_only_conflictless () =
   check bool_t "deadlock-free" true (Rw_system.deadlock_free sys)
 
 (* Random RW generator for properties. *)
-let random_rw_txn st db ~k =
+let random_rw_txn ?(write_only = false) st db ~k =
   let ents = Ddlock_workload.Gentx.random_entity_subset st db ~k in
   (* random 2-phase or not, random modes, random positions: build a random
      total order with L before U per entity. *)
   let nodes =
     List.concat_map
       (fun e ->
-        let m = if Random.State.bool st then Rw_txn.Read else Rw_txn.Write in
+        let m =
+          if Random.State.bool st && not write_only then Rw_txn.Read
+          else Rw_txn.Write
+        in
         [ { Rw_txn.entity = e; op = Rw_txn.Lock m };
           { Rw_txn.entity = e; op = Rw_txn.Unlock } ])
       ents
@@ -244,6 +247,54 @@ let exclusive_df_implies_rw_df_prop =
          deadlock needs two incompatible (write-involving) locks, which
          deadlock the exclusive system too. *)
       Rw_system.deadlock_free sys)
+
+(* With every lock a Write, the rw model is the exclusive model, so the
+   rw searches must agree with the exclusive ones on [to_exclusive]. *)
+let all_write_matches_exclusive_prop =
+  QCheck.Test.make
+    ~name:"all-Write rw searches ≡ exclusive searches (deadlock, safety)"
+    ~count:60
+    QCheck.(int_bound 10_000_000)
+    (fun seed ->
+      let st = Fixtures.rng seed in
+      let db = Ddlock_workload.Gentx.random_db ~sites:1 ~entities:3 in
+      let mk () = random_rw_txn ~write_only:true st db ~k:(1 + Random.State.int st 3) in
+      let sys = Rw_system.create (List.init (2 + Random.State.int st 2) (fun _ -> mk ())) in
+      let x = Rw_system.to_exclusive sys in
+      Rw_system.deadlock_free sys = Ddlock_schedule.Explore.deadlock_free x
+      && Result.is_ok (Rw_system.safe sys)
+         = Result.is_ok (Ddlock_schedule.Explore.safe x))
+
+(* Reachable rw states, counted by a search independent of the kernel. *)
+let rw_state_count sys =
+  let seen = Hashtbl.create 64 in
+  let rec go st =
+    let k = Array.map Ddlock_graph.Bitset.to_list st in
+    if not (Hashtbl.mem seen k) then begin
+      Hashtbl.replace seen k ();
+      List.iter (fun s -> go (Rw_system.apply st s)) (Rw_system.enabled sys st)
+    end
+  in
+  go (Rw_system.initial sys);
+  Hashtbl.length seen
+
+let rw_exact_cap_prop =
+  QCheck.Test.make
+    ~name:"rw find_deadlock ~max_states:k raises Too_large k iff > k states"
+    ~count:60
+    QCheck.(pair (int_bound 10_000_000) (int_range 1 60))
+    (fun (seed, k) ->
+      let st = Fixtures.rng seed in
+      let db = Ddlock_workload.Gentx.random_db ~sites:1 ~entities:3 in
+      let mk () = random_rw_txn st db ~k:(1 + Random.State.int st 3) in
+      let sys = Rw_system.create [ mk (); mk () ] in
+      (* A deadlock stops the search early; without one it holds every
+         reachable state. *)
+      QCheck.assume (Rw_system.deadlock_free sys);
+      let n = rw_state_count sys in
+      match Rw_system.find_deadlock ~max_states:k sys with
+      | exception Rw_system.Too_large m -> n > k && m = k
+      | r -> r = None && n <= k)
 
 (* ------------------------------------------------------------------ *)
 (* RW runtime                                                          *)
@@ -343,6 +394,8 @@ let qtests =
       rw_2pl_safe_prop;
       exclusive_df_implies_rw_df_prop;
       runtime_trace_serializable_prop;
+      all_write_matches_exclusive_prop;
+      rw_exact_cap_prop;
     ]
 
 let suite =
